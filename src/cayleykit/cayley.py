@@ -12,6 +12,8 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 from math import factorial
 from pathlib import Path
 
@@ -66,35 +68,28 @@ class DistanceOracle:
     # -- table internals ----------------------------------------------------
 
     def _init_table(self, cache_dir):
-        model = self.model
-        n = model.n
-        gens = model.generating_set.generators
-        perms = all_perms_array(n)
-        k = len(gens)
-        nf = len(perms)
-        gen_tables = np.empty((k, nf), dtype=np.int32)
-        for j, s in enumerate(gens):
-            s_arr = np.array(s, dtype=np.uint8)
-            gen_tables[j] = rank_rows(s_arr[perms])
-        inv_gen_tables = np.empty_like(gen_tables)
-        idx = np.arange(nf, dtype=np.int32)
-        for j in range(k):
-            inv_gen_tables[j][gen_tables[j]] = idx
-        self.gen_tables = gen_tables
-        self.inv_gen_tables = inv_gen_tables
-        self.inverse_ranks = rank_rows(
-            np.argsort(perms, axis=1).astype(np.uint8)
-        ).astype(np.int32)
-        cached = None
         if cache_dir is not None:
-            path = cache_path(model, cache_dir)
+            path = cache_path(self.model, cache_dir)
             if path.exists():
-                cached = load_table_cache(model, path)
-        if cached is not None:
-            self.lengths = cached
-            self.parent_gen = None
-        else:
-            self.lengths, self.parent_gen = _bfs_table(gen_tables)
+                self.lengths = load_table_cache(self.model, path)
+                return
+        self.lengths = _bfs_table(self.gen_tables)
+
+    @cached_property
+    def gen_tables(self) -> np.ndarray:
+        """gen_tables[j][r] = rank(perm_r * s_j), built on first use."""
+        return _generator_tables(self.model)
+
+    @cached_property
+    def inv_gen_tables(self) -> np.ndarray:
+        """inv_gen_tables[j][r] = rank(perm_r * s_j^-1), built on first use."""
+        return _inverse_tables(self.gen_tables)
+
+    @cached_property
+    def inverse_ranks(self) -> np.ndarray:
+        """inverse_ranks[r] = rank(perm_r^-1), built on first use."""
+        perms = all_perms_array(self.model.n)
+        return rank_rows(np.argsort(perms, axis=1).astype(np.uint8)).astype(np.int32)
 
     def rank(self, g) -> int:
         return perm_rank(g)
@@ -103,21 +98,30 @@ class DistanceOracle:
         return perm_unrank(r, self.model.n)
 
     def parents(self) -> np.ndarray:
-        """Per-rank generator index of one BFS parent (rebuilt if cache-loaded)."""
-        if self.parent_gen is None:
-            self.lengths, self.parent_gen = _bfs_table(self.gen_tables)
-        return self.parent_gen
+        """Per-rank generator index of the BFS parent: the lowest j one step closer.
+
+        That is the BFS's own choice, since it sweeps generators in index order.
+        """
+        dist16 = self.lengths.astype(np.int16)
+        want = np.where(self.lengths == UNREACHED, -1, dist16 - 1)
+        parent = np.full(len(dist16), UNREACHED, dtype=np.uint8)
+        for j in range(len(self.inv_gen_tables) - 1, -1, -1):
+            parent[dist16[self.inv_gen_tables[j]] == want] = j
+        return parent
 
     def word_ranks(self, r: int) -> list[int]:
-        """Generator indices of one geodesic word from the identity to rank r."""
-        self.parents()
+        """Generator indices of the geodesic word from the identity to rank r along parents()."""
+        lengths, inv = self.lengths, self.inv_gen_tables
+        if lengths[r] == UNREACHED:
+            raise UnreachableError(f"rank {r} not reachable in {self.model.name}")
         letters = []
         while r != 0:
-            j = int(self.parent_gen[r])
-            if j == UNREACHED:
-                raise UnreachableError(f"rank {r} not reachable in {self.model.name}")
+            closer = lengths[r] - 1
+            j = 0
+            while lengths[inv[j, r]] != closer:
+                j += 1
             letters.append(j)
-            r = int(self.inv_gen_tables[j][r])
+            r = int(inv[j, r])
         letters.reverse()
         return letters
 
@@ -197,50 +201,63 @@ class DistanceOracle:
     def geodesics(self, g, h, enumerate_words: bool = False, cap: int = DEFAULT_WORD_CAP) -> GeodesicSet:
         """All geodesic words from g to h; count stays exact when words are capped."""
         model = self.model
-        gens = model.generating_set.generators
         total = self.distance(g, h)
-        memo = {h: 1}
-
-        def count_from(x):
-            c = memo.get(x)
-            if c is not None:
-                return c
-            dx = self.distance(x, h)
-            c = 0
-            for s in gens:
-                y = model.multiply(x, s)
-                if self.distance(y, h) == dx - 1:
-                    c += count_from(y)
-            memo[x] = c
-            return c
-
-        count = count_from(g)
-        words: list[tuple] = []
-        truncated = False
+        gens = model.generating_set.generators
+        counts = {g: 1}  # paths from g, for the current grade only
+        for steps, grade in grade_walk(model, g, gens, lambda y: self.distance(y, h), total):
+            nxt = dict.fromkeys(grade, 0)
+            for x, _, y in steps:
+                nxt[y] += counts[x]
+            counts = nxt
+        count = counts[h]
+        words = ()
         if enumerate_words:
-            prefix: list[int] = []
+            words = tuple(islice(self._geodesic_words(g, h, total), max(cap, 0)))
+        return GeodesicSet(g, h, total, count, words, enumerate_words and count > cap)
 
-            def dfs(x, dx):
-                nonlocal truncated
-                if truncated:
-                    return
-                if dx == 0:
-                    if len(words) < cap:
-                        words.append(tuple(prefix))
-                    else:
-                        truncated = True
-                    return
-                for j, s in enumerate(gens):
-                    y = model.multiply(x, s)
-                    if self.distance(y, h) == dx - 1:
-                        prefix.append(j)
-                        dfs(y, dx - 1)
-                        prefix.pop()
-                        if truncated:
-                            return
+    def _geodesic_words(self, g, h, total: int):
+        """Geodesic words from g to h, lexicographic in generator index (explicit-stack DFS)."""
+        gens = self.model.generating_set.generators
+        word: list[int] = []
+        stack = [(g, 0)]  # stack[i]: (element reached by word[:i], next generator to try)
+        while stack:
+            x, j = stack[-1]
+            if len(word) == total:
+                yield tuple(word)
+                j = len(gens)
+            if j == len(gens):
+                stack.pop()
+                if stack:
+                    word.pop()
+                continue
+            stack[-1] = (x, j + 1)
+            y = self.model.multiply(x, gens[j])
+            if self.distance(y, h) == total - len(word) - 1:
+                word.append(j)
+                stack.append((y, 0))
 
-            dfs(g, total)
-        return GeodesicSet(g, h, total, count, tuple(words), truncated)
+
+def grade_walk(model: GroupModel, start, gens, dist_to_end, n: int):
+    """Grades 1..n of the n-step geodesics from start to the element dist_to_end measures.
+
+    Yields (steps, grade) per grade i: grade lists each y = x*s (x in grade
+    i-1, s in gens) with dist_to_end(y) == n - i in first-discovered order
+    (parent order, then generator index), and steps holds the cover steps
+    (x, j, y) in the same order.  dist_to_end is not called for an element
+    already in the grade.
+    """
+    grade = [start]
+    for i in range(1, n + 1):
+        steps = []
+        nxt: dict = {}
+        for x in grade:
+            for j, s in enumerate(gens):
+                y = model.multiply(x, s)
+                if y in nxt or dist_to_end(y) == n - i:
+                    nxt[y] = None
+                    steps.append((x, j, y))
+        grade = list(nxt)
+        yield steps, grade
 
 
 def _default_strategy(model: GroupModel) -> str:
@@ -272,11 +289,29 @@ def build_oracle(model: GroupModel, strategy: str | None = None, cache_dir=None)
     return DistanceOracle(model, strategy, cache_dir)
 
 
-def _bfs_table(gen_tables: np.ndarray):
+def _generator_tables(model: SymmetricModel) -> np.ndarray:
+    """Rank-indexed right multiplication: tables[j][r] = rank(perm_r * s_j)."""
+    perms = all_perms_array(model.n)
+    gens = model.generating_set.generators
+    tables = np.empty((len(gens), len(perms)), dtype=np.int32)
+    for j, s in enumerate(gens):
+        tables[j] = rank_rows(np.array(s, dtype=np.uint8)[perms])
+    return tables
+
+
+def _inverse_tables(gen_tables: np.ndarray) -> np.ndarray:
+    """The inverse permutation of each generator table."""
+    inv = np.empty_like(gen_tables)
+    idx = np.arange(gen_tables.shape[1], dtype=np.int32)
+    for j, table in enumerate(gen_tables):
+        inv[j][table] = idx
+    return inv
+
+
+def _bfs_table(gen_tables: np.ndarray) -> np.ndarray:
     """Level-synchronous BFS from the identity over rank-indexed generator tables."""
     k, nf = gen_tables.shape
     dist = np.full(nf, UNREACHED, dtype=np.uint8)
-    parent = np.full(nf, UNREACHED, dtype=np.uint8)
     dist[0] = 0
     frontier = np.zeros(1, dtype=np.int32)
     level = 0
@@ -288,12 +323,11 @@ def _bfs_table(gen_tables: np.ndarray):
             fresh = np.unique(cand[dist[cand] == UNREACHED])
             if fresh.size:
                 dist[fresh] = level
-                parent[fresh] = j
                 fresh_parts.append(fresh)
         frontier = (
             np.concatenate(fresh_parts) if fresh_parts else np.empty(0, dtype=np.int32)
         )
-    return dist, parent
+    return dist
 
 
 def _bidirectional_distance(model: GroupModel, g, h) -> int:
@@ -413,8 +447,8 @@ def load_table_cache(model: GroupModel, path) -> np.ndarray:
 def verify_table_cache(model: GroupModel, path) -> None:
     """Load a cache and run the distance sanity sweep; raises CacheError on damage."""
     lengths = load_table_cache(model, path)
-    oracle = DistanceOracle(model, "table")  # fresh tables for the sweep
-    gen_tables, inv_gen_tables = oracle.gen_tables, oracle.inv_gen_tables
+    gen_tables = _generator_tables(model)
+    inv_gen_tables = _inverse_tables(gen_tables)
     if lengths[0] != 0:
         raise CacheError(f"{path}: identity distance is {lengths[0]}, not 0")
     if int(np.count_nonzero(lengths == 0)) != 1:

@@ -155,25 +155,16 @@ def _interval_size_vector(oracle: DistanceOracle) -> np.ndarray:
             children[p].append(r)
 
     sizes = np.zeros(nf, dtype=np.int64)
-
-    def walk(r: int, m_arr: np.ndarray):
+    # depth-first over the BFS tree; each entry carries its parent's M, so
+    # only the arrays on the current root-to-leaf path stay alive
+    stack = [(0, oracle.inverse_ranks)]
+    while stack:
+        r, m_arr = stack.pop()
+        if r:
+            m_arr = tables[parent_gen[r]][m_arr]
         sizes[r] = int(np.count_nonzero(dist16 + dist16[m_arr] == int(lengths[r])))
-        for c in children[r]:
-            walk(c, tables[parent_gen[c]][m_arr])
-
-    import sys
-
-    limit = sys.getrecursionlimit()
-    reached = int(np.count_nonzero(lengths != UNREACHED))
-    depth = int(lengths[lengths != UNREACHED].max()) + 10
-    if depth + 100 > limit:
-        sys.setrecursionlimit(depth + 100)
-    try:
-        walk(0, oracle.inverse_ranks.astype(np.int32))
-    finally:
-        sys.setrecursionlimit(limit)
-    if reached != nf:
-        sizes[lengths == UNREACHED] = -1
+        stack.extend((c, m_arr) for c in children[r])
+    sizes[lengths == UNREACHED] = -1
     return sizes
 
 

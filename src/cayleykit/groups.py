@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, gcd
 
 from .errors import CapabilityError, ElementSyntaxError, ModelError
 
@@ -423,19 +423,6 @@ def apply_word(model: GroupModel, start, word) -> Element:
     return out
 
 
-def _orbit_closure_size(model: GroupModel, generators) -> int:
-    seen = {model.identity}
-    frontier = [model.identity]
-    while frontier:
-        g = frontier.pop()
-        for s in generators:
-            h = model.multiply(g, s)
-            if h not in seen:
-                seen.add(h)
-                frontier.append(h)
-    return len(seen)
-
-
 def _subgroup_order(n: int, gens: list) -> int:
     """Deterministic Schreier-Sims order of <gens> acting on 0..n-1."""
     identity = tuple(range(n))
@@ -466,7 +453,6 @@ def is_generating(model: GroupModel, S: GeneratingSet) -> bool:
     """True iff the closure of S under multiplication reaches every element."""
     if not model.is_finite:
         raise CapabilityError(f"{model.name} is infinite; generation check unsupported")
-    if isinstance(model, SymmetricModel) and model.n > 9:
-        # materializing n! elements is out of reach; same contract via group order
-        return _subgroup_order(model.n, list(S.generators)) == model.order
-    return _orbit_closure_size(model, S.generators) == model.order
+    if isinstance(model, CyclicModel):
+        return gcd(model.n, *S.generators) == 1
+    return _subgroup_order(model.n, list(S.generators)) == model.order

@@ -9,10 +9,10 @@ builds are deterministic.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
+from itertools import islice
 
-from .cayley import DistanceOracle
+from .cayley import DistanceOracle, grade_walk
 from .errors import ModelError
 
 
@@ -44,21 +44,15 @@ def build_interval(oracle: DistanceOracle, g, h) -> GradedInterval:
     g = model.check_element(g)
     h = model.check_element(h)
     n = oracle.distance(g, h)
-    gens = model.generating_set.generators
     rank_sets = [[g]]
     edges = []
     element_rank = {g: 0}
-    for i in range(1, n + 1):
-        ri = []
-        for gp in rank_sets[i - 1]:
-            for j, s in enumerate(gens):
-                y = model.multiply(gp, s)
-                if oracle.distance(y, h) == n - i:
-                    if y not in element_rank:
-                        element_rank[y] = i
-                        ri.append(y)
-                    edges.append((gp, j, y))
-        rank_sets.append(ri)
+    gens = model.generating_set.generators
+    walk = grade_walk(model, g, gens, lambda y: oracle.distance(y, h), n)
+    for i, (steps, grade) in enumerate(walk, 1):
+        edges.extend(steps)
+        rank_sets.append(grade)
+        element_rank.update(dict.fromkeys(grade, i))
     return GradedInterval(model, g, h, n, rank_sets, edges, element_rank)
 
 
@@ -118,30 +112,19 @@ def _indexed(interval: GradedInterval):
     return index
 
 
-def _up_down_masks(interval: GradedInterval):
-    """Reflexive up-sets and down-sets as bitmasks over the dense index."""
+def _up_masks(interval: GradedInterval) -> list:
+    """Reflexive up-sets as bitmasks over the dense index."""
     index = _indexed(interval)
-    m = len(index)
-    children = [[] for _ in range(m)]
-    parents = [[] for _ in range(m)]
+    children = [[] for _ in range(len(index))]
     for x, _, y in interval.cover_edges:
-        xi, yi = index[x], index[y]
-        if yi not in children[xi]:
-            children[xi].append(yi)
-            parents[yi].append(xi)
-    up = [0] * m
-    for i in range(m - 1, -1, -1):
+        children[index[x]].append(index[y])
+    up = [0] * len(index)
+    for i in range(len(index) - 1, -1, -1):
         mask = 1 << i
         for c in children[i]:
             mask |= up[c]
         up[i] = mask
-    down = [0] * m
-    for i in range(m):
-        mask = 1 << i
-        for p in parents[i]:
-            mask |= down[p]
-        down[i] = mask
-    return index, up, down
+    return up
 
 
 def _hopcroft_karp(adj, m: int) -> int:
@@ -193,25 +176,25 @@ def _hopcroft_karp(adj, m: int) -> int:
 
 def max_antichain(interval: GradedInterval) -> int:
     """Largest antichain size, by Dilworth duality with a minimum chain cover."""
-    index, up, down = _up_down_masks(interval)
-    m = len(index)
+    up = _up_masks(interval)
+    m = len(up)
     adj = [up[i] & ~(1 << i) for i in range(m)]  # strict comparabilities
     return m - _hopcroft_karp(adj, m)
 
 
 def is_lattice(interval: GradedInterval) -> bool:
-    """True iff every pair has a unique least upper and greatest lower bound."""
-    index, up, down = _up_down_masks(interval)
-    m = len(index)
+    """True iff every pair has a least upper bound.
+
+    An interval is finite with a bottom, so joins for every pair make it a
+    lattice: the meet of a and b is the join of their common lower bounds.
+    """
+    up = _up_masks(interval)
+    m = len(up)
     for i in range(m):
         for j in range(i + 1, m):
             ups = up[i] & up[j]
             least = ups & -ups  # lowest dense index = lowest rank
             if ups & ~up[least.bit_length() - 1]:
-                return False
-            dns = down[i] & down[j]
-            top_bit = dns.bit_length() - 1
-            if dns & ~down[top_bit]:
                 return False
     return True
 
@@ -305,30 +288,29 @@ def order_isomorphic(a: GradedInterval, b: GradedInterval) -> bool:
     mapping = [-1] * m
     used = [False] * m
 
-    limit = sys.getrecursionlimit()
-    if m * 2 + 100 > limit:
-        sys.setrecursionlimit(m * 2 + 100)
-
-    def extend(pos):
-        if pos == m:
-            return True
+    def candidates(pos):
         i = order[pos]
         want_parents = {mapping[p] for p in pa_a[i]}
-        for j in by_color.get((rank_a[i], col_a[i]), ()):
-            if used[j] or pa_b[j] != want_parents:
-                continue
-            mapping[i] = j
-            used[j] = True
-            if extend(pos + 1):
-                return True
-            mapping[i] = -1
-            used[j] = False
-        return False
+        key = (rank_a[i], col_a[i])
+        return (j for j in by_color.get(key, ()) if not used[j] and pa_b[j] == want_parents)
 
-    try:
-        return extend(0)
-    finally:
-        sys.setrecursionlimit(limit)
+    # depth-first search over positions; tries[pos] yields the candidates left there
+    tries = [candidates(0)]
+    while tries:
+        i = order[len(tries) - 1]
+        if mapping[i] != -1:  # undo the choice that led to a dead end
+            used[mapping[i]] = False
+            mapping[i] = -1
+        j = next(tries[-1], None)
+        if j is None:
+            tries.pop()
+            continue
+        mapping[i] = j
+        used[j] = True
+        if len(tries) == m:
+            return True
+        tries.append(candidates(len(tries)))
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -369,32 +351,12 @@ def partial_interval(oracle: DistanceOracle, g, h, k: int) -> PartialInterval:
     n = oracle.distance(g, h)
     gens = model.generating_set.generators
     depth = min(k, n)
-
-    front = [[g]]
-    seen = {g}
-    for i in range(1, depth + 1):
-        ri = []
-        for gp in front[i - 1]:
-            for s in gens:
-                y = model.multiply(gp, s)
-                if y not in seen and oracle.distance(y, h) == n - i:
-                    seen.add(y)
-                    ri.append(y)
-        front.append(ri)
-
+    front = grade_walk(model, g, gens, lambda y: oracle.distance(y, h), n)
     inv_gens = [model.inverse(s) for s in gens]
-    back = [[h]]
-    seen_b = {h}
-    for j in range(1, depth + 1):
-        bj = []
-        for hp in back[j - 1]:
-            for s_inv in inv_gens:
-                y = model.multiply(hp, s_inv)
-                if y not in seen_b and oracle.distance(g, y) == n - j:
-                    seen_b.add(y)
-                    bj.append(y)
-        back.append(bj)
-    return PartialInterval(model, g, h, n, k, front, back)
+    back = grade_walk(model, h, inv_gens, lambda y: oracle.distance(g, y), n)
+    front_sets = [[g]] + [grade for _, grade in islice(front, depth)]
+    back_sets = [[h]] + [grade for _, grade in islice(back, depth)]
+    return PartialInterval(model, g, h, n, k, front_sets, back_sets)
 
 
 # ---------------------------------------------------------------------------

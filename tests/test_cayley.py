@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from itertools import product
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from cayleykit import (
     verify_table_cache,
     z2_model,
 )
+from cayleykit import cayley, ranking
 from cayleykit.cayley import UNREACHED
 
 
@@ -154,10 +156,20 @@ def test_geodesics_count_and_words():
         for j in word:
             acc = model.multiply(acc, model.generating_set.generators[j])
         assert acc == top
-    # capped enumeration keeps the exact count
+    # every geodesic word, in lexicographic order of generator indices
+    gens = model.generating_set.generators
+    brute = []
+    for word in product(range(len(gens)), repeat=3):
+        acc = model.identity
+        for j in word:
+            acc = model.multiply(acc, gens[j])
+        if acc == top:
+            brute.append(word)
+    assert list(gs.words) == brute
+    # capped enumeration keeps the exact count and the first words in order
     capped = oracle.geodesics(model.identity, top, enumerate_words=True, cap=2)
     assert capped.count == 4
-    assert len(capped.words) == 2
+    assert list(capped.words) == brute[:2]
     assert capped.truncated
 
 
@@ -219,7 +231,7 @@ def test_cache_round_trip(tmp_path):
 
     loaded = DistanceOracle(model, "table", cache_dir=tmp_path)
     assert loaded.lengths.tolist() == fresh.lengths.tolist()
-    # parent pointers rebuild lazily for cache-loaded oracles
+    # parents derive from the loaded lengths
     word = loaded.word_ranks(77)
     assert len(word) == int(loaded.lengths[77])
 
@@ -260,3 +272,66 @@ def test_cache_detects_a_generator_set_swap(tmp_path):
 def test_bfs_table_is_dense_for_generating_sets():
     oracle = DistanceOracle(circular_model(6), "table")
     assert int(np.count_nonzero(oracle.lengths != UNREACHED)) == 720
+
+
+def _first_parent_words(model):
+    """Dict BFS, one level at a time and generator by generator over the level.
+
+    Each element keeps the first generator that reaches it, so its parent is
+    the lowest-index generator stepping from the previous level; the word of
+    an element follows those parents back to the identity.
+    """
+    gens = model.generating_set.generators
+    parent = {model.identity: None}
+    level = [model.identity]
+    while level:
+        nxt = []
+        for j, s in enumerate(gens):
+            for x in level:
+                y = model.multiply(x, s)
+                if y not in parent:
+                    parent[y] = (j, x)
+                    nxt.append(y)
+        level = nxt
+    words = {}
+    for g in parent:
+        word = []
+        x = g
+        while parent[x] is not None:
+            j, x = parent[x]
+            word.append(j)
+        words[g] = word[::-1]
+    return words
+
+
+def test_word_ranks_of_a_cache_loaded_oracle_match_first_parent_bfs(tmp_path):
+    model = circular_model(6)
+    fresh = DistanceOracle(model, "table")
+    save_table_cache(model, fresh.lengths, cache_path(model, tmp_path))
+    loaded = DistanceOracle(model, "table", cache_dir=tmp_path)
+    reference = _first_parent_words(model)
+    assert len(reference) == 720
+    parents = loaded.parents()
+    for g, word in reference.items():
+        r = fresh.rank(g)
+        assert fresh.word_ranks(r) == word
+        assert loaded.word_ranks(r) == word
+        assert int(parents[r]) == (word[-1] if word else UNREACHED)
+
+
+def test_cache_loaded_oracle_answers_without_ranking_tables(tmp_path, monkeypatch):
+    model = circular_model(6)
+    fresh = DistanceOracle(model, "table")
+    save_table_cache(model, fresh.lengths, cache_path(model, tmp_path))
+
+    def boom(*args, **kwargs):
+        raise AssertionError("rank_rows called on a cache hit")
+
+    monkeypatch.setattr(ranking, "rank_rows", boom)
+    monkeypatch.setattr(cayley, "rank_rows", boom)
+    loaded = DistanceOracle(model, "table", cache_dir=tmp_path)
+    rng = random.Random(7)
+    for _ in range(40):
+        g = tuple(rng.sample(range(6), 6))
+        h = tuple(rng.sample(range(6), 6))
+        assert loaded.distance(g, h) == fresh.distance(g, h)

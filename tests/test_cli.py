@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,12 @@ def test_geodesics_enumeration(capsys):
     assert data["count"] == 6
     assert len(data["words"]) == 2
     assert data["truncated"] is True
+
+
+def test_geodesic_count_at_a_long_z2_distance(capsys):
+    code, out, _ = _run(capsys, ["geodesics", "--model", "z2", "(0,0)", "(700,700)"])
+    assert code == 0
+    assert out == f"distance: 1400\ncount: {comb(1400, 700)}\n"
 
 
 def test_interval_stats_text(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -175,6 +176,53 @@ def test_is_generating_uses_order_counting_for_large_n():
     assert is_generating(m, m.generating_set)
     ten_cycle = cycles_to_perm(10, [tuple(range(1, 11))])
     assert not is_generating(m, GeneratingSet((ten_cycle,), False))
+
+
+def _closure_size(model, generators):
+    """Elements reached from the identity by right multiplication, counted by a plain walk."""
+    seen = {model.identity}
+    todo = [model.identity]
+    while todo:
+        x = todo.pop()
+        for s in generators:
+            y = model.multiply(x, s)
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return len(seen)
+
+
+def _agrees_with_closure(model, generators) -> bool:
+    got = is_generating(model, GeneratingSet(tuple(generators), False))
+    assert got == (_closure_size(model, generators) == model.order), generators
+    return got
+
+
+def test_is_generating_matches_orbit_closure_on_small_sets():
+    s4 = circular_model(4)
+    elements = list(s4.elements())
+    outcomes = set()
+    for size in (1, 2):
+        for gens in combinations(elements, size):
+            outcomes.add(_agrees_with_closure(s4, gens))
+    assert outcomes == {True, False}
+
+    rng = random.Random(17)
+    outcomes = set()
+    for n in (5, 6):
+        model = circular_model(n)
+        for _ in range(40):
+            gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 3))]
+            outcomes.add(_agrees_with_closure(model, gens))
+    assert outcomes == {True, False}
+
+    assert not _agrees_with_closure(cyclic_model(6), (2,))
+    assert _agrees_with_closure(cyclic_model(5), (2,))
+    for n in (5, 6, 12):
+        model = cyclic_model(n)
+        for size in (1, 2):
+            for gens in combinations(range(n), size):
+                _agrees_with_closure(model, gens)
 
 
 def test_apply_word_walks_edges_right_to_left_targets():

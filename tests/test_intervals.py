@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -301,3 +302,11 @@ def test_sperner_explicit_antichain_argument():
     interval = build_interval(oracle, model.identity, model.parse_element("(1,3,4,2)"))
     assert not is_sperner(interval, antichain=4)
     assert is_sperner(interval, antichain=3)
+
+
+def test_no_module_raises_the_recursion_limit():
+    package = Path(__file__).resolve().parent.parent / "src" / "cayleykit"
+    sources = sorted(package.glob("**/*.py"))
+    assert sources
+    for path in sources:
+        assert "setrecursionlimit" not in path.read_text(), path
