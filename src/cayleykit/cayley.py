@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -374,11 +375,13 @@ def _bidirectional_distance(model: GroupModel, g, h) -> int:
 #
 # Layout (little-endian for multi-byte fields):
 #   magic "CAYD" | version u8 | descriptor length u16 + utf-8 bytes |
-#   FNV-1a 64-bit hash of the generator text u64 | n u8 | n! distance bytes
-#   in Lehmer-rank order (255 = unreached).
+#   FNV-1a 64-bit hash of the generator text u64 | n u8 |
+#   CRC-32 of the payload u32 | n! distance bytes in Lehmer-rank order
+#   (255 = unreached).
+# Version 2 added the payload CRC; version 1 files are refused.
 
 CACHE_MAGIC = b"CAYD"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 def _fnv1a64(data: bytes) -> int:
@@ -406,32 +409,48 @@ def default_cache_dir() -> Path | None:
 
 
 def save_table_cache(model: GroupModel, lengths: np.ndarray, path) -> Path:
+    """Write the table to a temp file beside path, then rename it over path."""
     if not isinstance(model, SymmetricModel):
         raise CapabilityError(f"table caches apply to symmetric models, not {model.name}")
     if len(lengths) != factorial(model.n):
         raise CacheError(f"table has {len(lengths)} entries, expected {factorial(model.n)}")
+    payload = lengths.astype(np.uint8).tobytes()
     desc = model.name.encode("utf-8")
     header = CACHE_MAGIC + struct.pack("<BH", CACHE_VERSION, len(desc)) + desc
-    header += struct.pack("<QB", _fnv1a64(generator_text(model).encode("utf-8")), model.n)
+    header += struct.pack(
+        "<QBI", _fnv1a64(generator_text(model).encode("utf-8")), model.n, zlib.crc32(payload)
+    )
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(header + lengths.astype(np.uint8).tobytes())
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(header + payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
+
+
+def _unpack(fmt: str, raw: bytes, pos: int, path) -> tuple:
+    if len(raw) < pos + struct.calcsize(fmt):
+        raise CacheError(f"{path}: truncated header ({len(raw)} bytes)")
+    return struct.unpack_from(fmt, raw, pos)
 
 
 def load_table_cache(model: GroupModel, path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if raw[:4] != CACHE_MAGIC:
         raise CacheError(f"{path}: bad magic")
-    version, desc_len = struct.unpack_from("<BH", raw, 4)
+    version, desc_len = _unpack("<BH", raw, 4, path)
     if version != CACHE_VERSION:
         raise CacheError(f"{path}: unsupported version {version}")
-    pos = 7
-    desc = raw[pos : pos + desc_len].decode("utf-8")
-    pos += desc_len
-    stored_hash, n = struct.unpack_from("<QB", raw, pos)
-    pos += 9
-    if desc != model.name:
+    (desc,) = _unpack(f"<{desc_len}s", raw, 7, path)
+    pos = 7 + desc_len
+    stored_hash, n, stored_crc = _unpack("<QBI", raw, pos, path)
+    pos += 13
+    if desc != model.name.encode("utf-8"):
+        desc = desc.decode("utf-8", "replace")
         raise CacheError(f"{path}: descriptor {desc!r} does not match model {model.name!r}")
     want = _fnv1a64(generator_text(model).encode("utf-8"))
     if stored_hash != want:
@@ -441,6 +460,8 @@ def load_table_cache(model: GroupModel, path) -> np.ndarray:
     payload = raw[pos:]
     if len(payload) != factorial(n):
         raise CacheError(f"{path}: payload has {len(payload)} bytes, expected {factorial(n)}")
+    if zlib.crc32(payload) != stored_crc:
+        raise CacheError(f"{path}: payload checksum mismatch")
     return np.frombuffer(payload, dtype=np.uint8).copy()
 
 

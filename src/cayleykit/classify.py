@@ -10,7 +10,6 @@ small in memory.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -222,6 +221,9 @@ def census(model: GroupModel, relation: str, workers: int = 1) -> CensusResult:
                 reps.setdefault(d, fmt(oracle.unrank(r)))
             return CensusResult(model.name, relation, counts, reps)
         if workers > 1:
+            # imported here: it loads multiprocessing, which every CLI start would pay for
+            from concurrent.futures import ProcessPoolExecutor
+
             nf = len(lengths)
             step = max(1, nf // (workers * 8))
             bounds = [(a, min(a + step, nf)) for a in range(0, nf, step)]

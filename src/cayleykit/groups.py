@@ -423,30 +423,59 @@ def apply_word(model: GroupModel, start, word) -> Element:
     return out
 
 
-def _subgroup_order(n: int, gens: list) -> int:
-    """Deterministic Schreier-Sims order of <gens> acting on 0..n-1."""
+def _sims_filter(n: int, gens) -> list:
+    """At most n(n-1)/2 permutations generating the same group as gens.
+
+    Distinct non-identity gens pass through as they are while they fit the
+    bound; past it, Sims' filter sifts them.  Each kept g owns the slot
+    (i, g[i]), i its first moved point, so g[i] > i.  A g landing on a taken
+    slot held by t is replaced by g * t^-1, which fixes 0..i and generates the
+    same group together with t.
+    """
     identity = tuple(range(n))
-    gens = sorted(set(g for g in gens if g != identity))
-    if not gens:
-        return 1
-    b = min(i for g in gens for i in range(n) if g[i] != i)
-    transversal = {b: identity}
-    queue = [b]
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            y = g[x]
-            if y not in transversal:
-                transversal[y] = perm_multiply(transversal[x], g)
-                queue.append(y)
-    stab = set()
-    for x, tx in transversal.items():
-        for g in gens:
-            y = g[x]
-            sg = perm_multiply(perm_multiply(tx, g), perm_inverse(transversal[y]))
-            if sg != identity:
-                stab.add(sg)
-    return len(transversal) * _subgroup_order(n, list(stab))
+    gens = [g for g in dict.fromkeys(gens) if g != identity]
+    if len(gens) <= n * (n - 1) // 2:
+        return gens
+    slots: dict = {}
+    for g in gens:
+        while g != identity:
+            i = next(x for x in range(n) if g[x] != x)
+            held = slots.get((i, g[i]))
+            if held is None:
+                slots[i, g[i]] = (g, perm_inverse(g))
+                break
+            g = perm_multiply(g, held[1])
+    return [g for g, _ in slots.values()]
+
+
+def _subgroup_order(n: int, gens: list) -> int:
+    """Deterministic Schreier-Sims order of <gens> acting on 0..n-1.
+
+    Each level multiplies the order by the orbit length of its base point and
+    passes the sifted Schreier generators of the point stabiliser to the next.
+    """
+    order = 1
+    gens = _sims_filter(n, gens)
+    while gens:
+        b = min(i for g in gens for i in range(n) if g[i] != i)
+        transversal = {b: tuple(range(n))}
+        queue = [b]
+        while queue:
+            x = queue.pop()
+            for g in gens:
+                y = g[x]
+                if y not in transversal:
+                    transversal[y] = perm_multiply(transversal[x], g)
+                    queue.append(y)
+        back = {y: perm_inverse(t) for y, t in transversal.items()}
+        order *= len(transversal)
+        schreier = (
+            perm_multiply(perm_multiply(tx, g), back[g[x]])
+            for x, tx in transversal.items()
+            for g in gens
+        )
+        gens = _sims_filter(n, schreier)
+    return order
 
 
 def is_generating(model: GroupModel, S: GeneratingSet) -> bool:

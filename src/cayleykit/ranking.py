@@ -6,9 +6,6 @@ order of the image tuple, so the identity always has rank 0.
 
 from __future__ import annotations
 
-from itertools import permutations
-from math import factorial
-
 import numpy as np
 
 
@@ -36,23 +33,38 @@ def perm_unrank(r: int, n: int) -> tuple:
 
 
 def all_perms_array(n: int) -> np.ndarray:
-    """(n!, n) uint8 array of every permutation in rank order."""
-    flat = np.fromiter(
-        (v for p in permutations(range(n)) for v in p),
-        dtype=np.uint8,
-        count=factorial(n) * n,
-    )
-    return flat.reshape(factorial(n), n)
+    """(n!, n) uint8 array of every permutation in rank order.
+
+    S_k is built from S_(k-1) in blocks: block v holds v followed by the
+    remaining values rest_v = (0..k-1 without v), arranged as S_(k-1) in rank
+    order.  rest_v is increasing, so each block stays lexicographic.
+    """
+    perms = np.zeros((1, 0), dtype=np.uint8)
+    for k in range(1, n + 1):
+        block = len(perms)
+        out = np.empty((block * k, k), dtype=np.uint8)
+        for v in range(k):
+            rest = np.delete(np.arange(k, dtype=np.uint8), v)
+            rows = out[v * block : (v + 1) * block]
+            rows[:, 0] = v
+            rows[:, 1:] = rest[perms]
+        perms = out
+    return perms
 
 
 def rank_rows(rows: np.ndarray) -> np.ndarray:
-    """Vectorized perm_rank over the rows of an (m, n) permutation array."""
+    """Vectorized perm_rank over the rows of an (m, n) uint8 permutation array, n <= 16.
+
+    One pass per position: seen is the bitmask of the values already placed,
+    and each Lehmer digit is v minus the popcount of the seen values below v.
+    """
     m, n = rows.shape
     ranks = np.zeros(m, dtype=np.int64)
-    cols = rows.astype(np.int64)
-    for i in range(n):
-        digit = cols[:, i].copy()
-        for j in range(i):
-            digit -= cols[:, j] < cols[:, i]
-        ranks = ranks * (n - i) + digit
+    seen = np.zeros(m, dtype=np.uint16)
+    for i in range(n - 1):  # the last digit is always 0
+        v = rows[:, i]
+        bit = np.left_shift(np.uint16(1), v, dtype=np.uint16)
+        ranks *= n - i
+        ranks += v - np.bitwise_count(seen & (bit - np.uint16(1)))
+        seen |= bit
     return ranks

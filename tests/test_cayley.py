@@ -259,6 +259,37 @@ def test_cache_rejects_damage(tmp_path):
         load_table_cache(model, path)
 
 
+def test_cache_refuses_a_version_1_file(tmp_path):
+    model = circular_model(5)
+    path = save_table_cache(model, DistanceOracle(model, "table").lengths, tmp_path / "t.cayd")
+    raw = path.read_bytes()
+    crc_at = 7 + len(model.name) + 9
+    # version 1 had the same header without the payload CRC
+    path.write_bytes(raw[:4] + bytes([1]) + raw[5:crc_at] + raw[crc_at + 4 :])
+    with pytest.raises(CacheError, match="version 1"):
+        load_table_cache(model, path)
+
+
+def test_cache_save_replaces_the_file_atomically(tmp_path, monkeypatch):
+    model = circular_model(5)
+    lengths = DistanceOracle(model, "table").lengths
+    path = save_table_cache(model, lengths, tmp_path / "t.cayd")
+    before = path.read_bytes()
+
+    def interrupted(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cayley.os, "replace", interrupted)
+    with pytest.raises(OSError):
+        save_table_cache(model, np.zeros_like(lengths), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t.cayd"]
+    monkeypatch.undo()
+    save_table_cache(model, lengths, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t.cayd"]
+
+
 def test_cache_detects_a_generator_set_swap(tmp_path):
     model = circular_model(4)
     oracle = DistanceOracle(model, "table")

@@ -219,6 +219,50 @@ def test_cached_oracle_serves_the_dist_command(tmp_path, capsys):
     assert out.strip().isdigit()
 
 
+def _build_s6_cache(capsys, cache_dir) -> Path:
+    argv = ["cache", "build", "--model", "sym-circular:6", "--cache-dir", str(cache_dir)]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    return Path(out.split()[1])
+
+
+def _cache_readers(cache_dir):
+    """A cached dist (e to the reversal, rank 719, distance 7) and a cache verify."""
+    model = ("--model", "sym-circular:6", "--cache-dir", str(cache_dir))
+    return (["dist", *model, "e", "(1,6)(2,5)(3,4)"], ["cache", "verify", *model])
+
+
+def _assert_one_line_exit_4(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 4, (argv, out, err)
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_truncated_cache_header_exits_4_with_one_line(tmp_path, capsys):
+    path = _build_s6_cache(capsys, tmp_path)
+    raw = path.read_bytes()
+    header_len = len(raw) - 720
+    assert header_len > 7
+    for cut in range(header_len + 1):
+        path.write_bytes(raw[:cut])
+        for argv in _cache_readers(tmp_path):
+            _assert_one_line_exit_4(capsys, argv)
+
+
+def test_flipped_payload_byte_is_refused_by_dist_and_verify(tmp_path, capsys):
+    path = _build_s6_cache(capsys, tmp_path)
+    dist_argv, verify_argv = _cache_readers(tmp_path)
+    code, out, _ = _run(capsys, dist_argv)
+    assert code == 0 and out == "7\n"
+    raw = bytearray(path.read_bytes())
+    assert raw[-1] == 7
+    raw[-1] ^= 0x0E  # the reversal would read 9
+    path.write_bytes(bytes(raw))
+    _assert_one_line_exit_4(capsys, dist_argv)
+    _assert_one_line_exit_4(capsys, verify_argv)
+
+
 def test_parse_error_exit_codes(capsys):
     code, _, err = _run(capsys, ["dist", "--model", "nope", "e", "e"])
     assert code == 2 and "error:" in err

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -28,6 +29,7 @@ from cayleykit import (
     perm_parity,
     z2_model,
 )
+from cayleykit import groups
 from cayleykit.errors import ElementSyntaxError
 from cayleykit.groups import GeneratingSet
 
@@ -223,6 +225,40 @@ def test_is_generating_matches_orbit_closure_on_small_sets():
         for size in (1, 2):
             for gens in combinations(range(n), size):
                 _agrees_with_closure(model, gens)
+
+
+def test_schreier_sims_keeps_at_most_n_choose_2_generators_per_level(monkeypatch):
+    n = 12
+    levels = []
+    sift = groups._sims_filter
+
+    def recording(n_, gens):
+        gens = list(gens)
+        kept = sift(n_, gens)
+        levels.append((len(set(gens)), len(kept)))
+        return kept
+
+    monkeypatch.setattr(groups, "_sims_filter", recording)
+    bound = n * (n - 1) // 2
+    rng = random.Random(1212)
+    sifted = False
+    for _ in range(12):
+        gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 4))]
+        levels.clear()
+        assert factorial(n) % groups._subgroup_order(n, gens) == 0
+        assert len(levels) >= 2
+        assert max(kept for _, kept in levels) <= bound, levels
+        sifted |= max(distinct for distinct, _ in levels) > bound
+    assert sifted
+
+    # orders known in closed form
+    circ = circular_model(n).generating_set.generators
+    assert groups._subgroup_order(n, list(circ)) == factorial(12)
+    split = [g for g in adjacent_model(n).generating_set.generators if g[5] != 6]
+    assert groups._subgroup_order(n, split) == factorial(6) ** 2  # S6 x S6
+    twelve_cycle = cycles_to_perm(n, [tuple(range(1, 13))])
+    square = perm_multiply(twelve_cycle, twelve_cycle)
+    assert groups._subgroup_order(n, [twelve_cycle, square]) == 12
 
 
 def test_apply_word_walks_edges_right_to_left_targets():
