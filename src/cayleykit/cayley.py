@@ -9,6 +9,7 @@ reduce to lengths through left-invariance: d(g, h) = l(g^-1 h).
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 import zlib
@@ -291,12 +292,37 @@ def build_oracle(model: GroupModel, strategy: str | None = None, cache_dir=None)
 
 
 def _generator_tables(model: SymmetricModel) -> np.ndarray:
-    """Rank-indexed right multiplication: tables[j][r] = rank(perm_r * s_j)."""
-    perms = all_perms_array(model.n)
-    gens = model.generating_set.generators
-    tables = np.empty((len(gens), len(perms)), dtype=np.int32)
-    for j, s in enumerate(gens):
-        tables[j] = rank_rows(np.array(s, dtype=np.uint8)[perms])
+    """Rank-indexed right multiplication: tables[j][r] = rank(perm_r * s_j).
+
+    Built from the block structure of rank order, with no permutation ranked.
+    Block v of S_k (ranks v*(k-1)! onward) is v followed by the other values
+    arranged as S_(k-1) in rank order.  Relabelling the values by s sends
+    block v to block s(v), where it acts on S_(k-1) as the compressed
+    permutation s_v(i) = s(rest_v[i]) - [s(rest_v[i]) > s(v)], so
+
+        table_k(s) = concat over v of (s(v) * (k-1)! + table_(k-1)(s_v)).
+
+    The distinct s_v are collected level by level from n down to 1, then the
+    tables are filled from S_1 up.
+    """
+    perms = list(model.generating_set.generators)
+    levels = []  # per k from n down to 2: (the S_k perms, index of each s_v one level down)
+    for k in range(model.n, 1, -1):
+        below: dict = {}
+        children = np.empty((len(perms), k), dtype=np.intp)
+        for i, s in enumerate(perms):
+            for v, sv in enumerate(s):
+                s_v = tuple(w - (w > sv) for w in s[:v] + s[v + 1 :])
+                children[i, v] = below.setdefault(s_v, len(below))
+        levels.append((perms, children))
+        perms = list(below)
+    tables = np.zeros((len(perms), 1), dtype=np.int32)  # S_1: rank 0 to rank 0
+    for perms, children in reversed(levels):
+        m, k = children.shape
+        block = tables.shape[1]
+        out = np.take(tables, children, axis=0)  # (m, k, (k-1)!)
+        np.add(out, (np.array(perms, dtype=np.int32) * block)[:, :, None], out=out)
+        tables = out.reshape(m, k * block)
     return tables
 
 
@@ -310,24 +336,22 @@ def _inverse_tables(gen_tables: np.ndarray) -> np.ndarray:
 
 
 def _bfs_table(gen_tables: np.ndarray) -> np.ndarray:
-    """Level-synchronous BFS from the identity over rank-indexed generator tables."""
-    k, nf = gen_tables.shape
-    dist = np.full(nf, UNREACHED, dtype=np.uint8)
+    """Level-synchronous BFS from the identity over rank-indexed generator tables.
+
+    Each level marks the still-unreached neighbours of the frontier, then
+    takes the next frontier as every rank at that level: distances do not
+    depend on the frontier's order, so no sort or dedup is needed.
+    """
+    dist = np.full(gen_tables.shape[1], UNREACHED, dtype=np.uint8)
     dist[0] = 0
-    frontier = np.zeros(1, dtype=np.int32)
+    frontier = np.zeros(1, dtype=np.intp)
     level = 0
     while frontier.size:
         level += 1
-        fresh_parts = []
-        for j in range(k):
-            cand = gen_tables[j][frontier]
-            fresh = np.unique(cand[dist[cand] == UNREACHED])
-            if fresh.size:
-                dist[fresh] = level
-                fresh_parts.append(fresh)
-        frontier = (
-            np.concatenate(fresh_parts) if fresh_parts else np.empty(0, dtype=np.int32)
-        )
+        for table in gen_tables:
+            nbr = table[frontier]
+            dist[nbr[dist[nbr] == UNREACHED]] = level
+        frontier = np.flatnonzero(dist == level)
     return dist
 
 
@@ -421,14 +445,16 @@ def save_table_cache(model: GroupModel, lengths: np.ndarray, path) -> Path:
         "<QBI", _fnv1a64(generator_text(model).encode("utf-8")), model.n, zlib.crc32(payload)
     )
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         tmp.write_bytes(header + payload)
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    except OSError as exc:
+        raise CacheError(f"{path}: cannot write: {exc.strerror or exc}") from None
+    finally:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
     return path
 
 
@@ -439,7 +465,10 @@ def _unpack(fmt: str, raw: bytes, pos: int, path) -> tuple:
 
 
 def load_table_cache(model: GroupModel, path) -> np.ndarray:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise CacheError(f"{path}: cannot read: {exc.strerror or exc}") from None
     if raw[:4] != CACHE_MAGIC:
         raise CacheError(f"{path}: bad magic")
     version, desc_len = _unpack("<BH", raw, 4, path)

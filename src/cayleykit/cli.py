@@ -362,9 +362,7 @@ def cmd_cache_build(args) -> int:
     model = parse_model(args.model)
     cache_dir = _resolved_cache_dir(args)
     oracle = DistanceOracle(model, "table")
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_path(model, cache_dir)
-    save_table_cache(model, oracle.lengths, path)
+    path = save_table_cache(model, oracle.lengths, cache_path(model, cache_dir))
     print(f"wrote {path} ({len(oracle.lengths)} distances)")
     return 0
 

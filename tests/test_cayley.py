@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from itertools import product
+from itertools import permutations, product
+from math import factorial
 
 import numpy as np
 import pytest
@@ -280,7 +281,7 @@ def test_cache_save_replaces_the_file_atomically(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(cayley.os, "replace", interrupted)
-    with pytest.raises(OSError):
+    with pytest.raises(CacheError, match="disk full"):
         save_table_cache(model, np.zeros_like(lengths), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["t.cayd"]
@@ -366,3 +367,81 @@ def test_cache_loaded_oracle_answers_without_ranking_tables(tmp_path, monkeypatc
         g = tuple(rng.sample(range(6), 6))
         h = tuple(rng.sample(range(6), 6))
         assert loaded.distance(g, h) == fresh.distance(g, h)
+
+
+def _rank_index(n):
+    """itertools.permutations lists S_n in lexicographic order, which is rank order."""
+    return {p: r for r, p in enumerate(permutations(range(n)))}
+
+
+def _random_custom_model(rng, n, size):
+    gens = set()
+    while len(gens) < size:
+        g = tuple(rng.sample(range(n), n))
+        if g != tuple(range(n)):
+            gens.add(g)
+    return custom_model(n, sorted(gens), require_generating=False)
+
+
+def _assert_tables_are_right_products(model):
+    index = _rank_index(model.n)
+    tables = cayley._generator_tables(model)
+    assert tables.dtype == np.int32
+    assert tables.shape == (len(model.generating_set.generators), len(index))
+    for j, s in enumerate(model.generating_set.generators):
+        want = [index[model.multiply(p, s)] for p in index]
+        assert tables[j].tolist() == want, (model.name, j)
+
+
+def test_generator_tables_match_products_on_random_sets():
+    # S_1 has no generator (the identity is refused), so n starts at 2
+    rng = random.Random(2024)
+    for n in range(2, 8):
+        for size in (1, 2, 3, 4):
+            if size < factorial(n):
+                _assert_tables_are_right_products(_random_custom_model(rng, n, size))
+
+
+def test_generator_tables_match_products_at_s8():
+    for model in (
+        circular_model(8),
+        adjacent_model(8),
+        custom_model(8, ["(1,2,3,4,5,6,7,8)", "(1,2)"]),
+    ):
+        _assert_tables_are_right_products(model)
+
+
+def _dict_bfs_by_rank(model):
+    reached = _bfs_lengths(model)
+    return [reached.get(p, UNREACHED) for p in permutations(range(model.n))]
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_bfs_table_matches_dict_bfs(n):
+    cycle = "(" + ",".join(str(i) for i in range(1, n + 1)) + ")"
+    models = (
+        circular_model(n),
+        custom_model(n, [cycle, "(1,2)"]),  # directed: the cycle's inverse is absent
+        custom_model(n, ["(1,2,3)", "(4,5)"], require_generating=False),
+    )
+    for model in models:
+        lengths = cayley._bfs_table(cayley._generator_tables(model))
+        assert lengths.dtype == np.uint8
+        assert lengths.tolist() == _dict_bfs_by_rank(model), model.name
+    assert UNREACHED in lengths.tolist()
+
+
+def test_table_build_and_verify_rank_no_permutation(tmp_path, monkeypatch):
+    model = circular_model(7)
+    want = _dict_bfs_by_rank(model)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a permutation was ranked")
+
+    for name in ("rank_rows", "all_perms_array"):
+        monkeypatch.setattr(ranking, name, boom)
+        monkeypatch.setattr(cayley, name, boom)
+    oracle = DistanceOracle(model, "table")
+    assert oracle.lengths.tolist() == want
+    path = save_table_cache(model, oracle.lengths, cache_path(model, tmp_path))
+    verify_table_cache(model, path)

@@ -263,6 +263,32 @@ def test_flipped_payload_byte_is_refused_by_dist_and_verify(tmp_path, capsys):
     _assert_one_line_exit_4(capsys, verify_argv)
 
 
+def test_cache_build_under_a_regular_file_exits_4(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = ["cache", "build", "--model", "sym-circular:5", "--cache-dir", str(blocker / "sub")]
+    code, out, err = _run(capsys, argv)
+    assert code == 4 and out == ""
+    assert err == f"error: {blocker / 'sub' / 'sym-circular-5.cayd'}: cannot write: Not a directory\n"
+
+
+@pytest.mark.parametrize("command", ["dist", "verify", "build"])
+def test_cache_file_that_is_a_directory_exits_4(tmp_path, capsys, command):
+    path = tmp_path / "sym-circular-5.cayd"
+    path.mkdir()
+    model = ("--model", "sym-circular:5", "--cache-dir", str(tmp_path))
+    argv = {
+        "dist": ["dist", *model, "e", "(1,3)"],
+        "verify": ["cache", "verify", *model],
+        "build": ["cache", "build", *model],
+    }[command]
+    code, out, err = _run(capsys, argv)
+    assert code == 4 and out == ""
+    assert err.startswith(f"error: {path}: cannot ") and err.count("\n") == 1
+    assert err.endswith(": Is a directory\n")
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
 def test_parse_error_exit_codes(capsys):
     code, _, err = _run(capsys, ["dist", "--model", "nope", "e", "e"])
     assert code == 2 and "error:" in err
