@@ -419,16 +419,17 @@ def _dict_bfs_by_rank(model):
 @pytest.mark.parametrize("n", [6, 7])
 def test_bfs_table_matches_dict_bfs(n):
     cycle = "(" + ",".join(str(i) for i in range(1, n + 1)) + ")"
+    subgroup = custom_model(n, ["(1,2,3)", "(4,5)"], require_generating=False)
     models = (
         circular_model(n),
         custom_model(n, [cycle, "(1,2)"]),  # directed: the cycle's inverse is absent
-        custom_model(n, ["(1,2,3)", "(4,5)"], require_generating=False),
+        subgroup,
     )
     for model in models:
         lengths = cayley._bfs_table(cayley._generator_tables(model))
         assert lengths.dtype == np.uint8
         assert lengths.tolist() == _dict_bfs_by_rank(model), model.name
-    assert UNREACHED in lengths.tolist()
+        assert (UNREACHED in lengths) == (model is subgroup)
 
 
 def test_table_build_and_verify_rank_no_permutation(tmp_path, monkeypatch):
