@@ -174,6 +174,24 @@ def test_geodesics_count_and_words():
     assert capped.truncated
 
 
+def _lattice_paths(dx, dy):
+    """Monotone unit-step paths across a |dx| by |dy| grid box, by dynamic programming."""
+    row = [1] * (abs(dy) + 1)
+    for _ in range(abs(dx)):
+        for j in range(1, len(row)):
+            row[j] += row[j - 1]
+    return row[-1]
+
+
+def test_z2_geodesic_counts_match_a_lattice_path_dp():
+    oracle = build_oracle(z2_model())
+    for src in ((0, 0), (5, -3)):
+        for dx, dy in product(range(-6, 7), repeat=2):
+            dst = (src[0] + dx, src[1] + dy)
+            gs = oracle.geodesics(src, dst)
+            assert (gs.distance, gs.count) == (abs(dx) + abs(dy), _lattice_paths(dx, dy))
+
+
 def test_geodesics_of_the_antipode_in_even_cyclic_groups():
     oracle = build_oracle(cyclic_model(8))
     gs = oracle.geodesics(0, 4, enumerate_words=True)
@@ -258,6 +276,46 @@ def test_cache_rejects_damage(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(CacheError):
         load_table_cache(model, path)
+
+
+def _damage_s6_lengths(case):
+    """S6 circular lengths edited so that exactly one sweep check fails first.
+
+    Rank 450 is the unique antipode (distance 9, all six neighbours at 8),
+    rank 120 is the identity's neighbour along generator 0, and generator 0
+    is a transposition, so ranks 5 and 125 form one of its 2-cycles.
+    """
+    lengths = DistanceOracle(circular_model(6), "table").lengths.copy()
+    if case == "identity":
+        lengths[0] = 1
+    elif case == "second zero":
+        lengths[450] = 0
+    elif case == "jump":
+        lengths[120] = 3
+    elif case == "unreached successor":
+        lengths[5], lengths[125] = 254, UNREACHED
+    else:
+        lengths[450] = 8
+    return lengths
+
+
+SWEEP_ERRORS = {
+    "identity": "identity distance is 1, not 0",
+    "second zero": "multiple zero entries",
+    "jump": "distance jump along generator 0",
+    "unreached successor": "reached element with unreached successor",
+    "no predecessor": "element with no predecessor one step closer",
+}
+
+
+@pytest.mark.parametrize("case", SWEEP_ERRORS)
+def test_verify_sweep_refuses_a_checksummed_bad_table(tmp_path, case):
+    model = circular_model(6)
+    path = cache_path(model, tmp_path)
+    save_table_cache(model, _damage_s6_lengths(case), path)
+    load_table_cache(model, path)  # the header and CRC are valid
+    with pytest.raises(CacheError, match=f": {SWEEP_ERRORS[case]}$"):
+        verify_table_cache(model, path)
 
 
 def test_cache_refuses_a_version_1_file(tmp_path):

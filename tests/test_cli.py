@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from cayleykit import load_table_cache, parse_model, save_table_cache
 from cayleykit.cli import main
 
 
@@ -261,6 +262,18 @@ def test_flipped_payload_byte_is_refused_by_dist_and_verify(tmp_path, capsys):
     path.write_bytes(bytes(raw))
     _assert_one_line_exit_4(capsys, dist_argv)
     _assert_one_line_exit_4(capsys, verify_argv)
+
+
+def test_cache_verify_refuses_a_checksummed_table_with_a_jump(tmp_path, capsys):
+    path = _build_s6_cache(capsys, tmp_path)
+    model = parse_model("sym-circular:6")
+    lengths = load_table_cache(model, path)
+    lengths[120] = 3  # the identity's neighbour along generator 0
+    save_table_cache(model, lengths, path)
+    _, verify_argv = _cache_readers(tmp_path)
+    code, out, err = _run(capsys, verify_argv)
+    assert code == 4 and out == ""
+    assert err == f"error: {path}: distance jump along generator 0\n"
 
 
 def test_cache_build_under_a_regular_file_exits_4(tmp_path, capsys):

@@ -50,6 +50,11 @@ CASES = [
     ["classify", "--model", "sym-circular:5", "--relation", "iso", "--all"],
     ["geodesics", "--model", "sym-circular:6", "e", "(1,4)(2,5)(3,6)", "--enumerate",
      "--cap", "3"],
+    ["geodesics", "--model", "z2", "(3,-2)", "(-4,5)", "--format", "json"],
+    ["geodesics", "--model", "z2", "(0,0)", "(0,0)"],
+    ["geodesics", "--model", "z2", "(1,1)", "(1,-5)", "--enumerate"],
+    ["geodesics", "--model", "z2", "(0,0)", "(2,3)", "--enumerate", "--cap", "4"],
+    ["geodesics", "--model", "cyclic:8", "1", "5"],
     ["normaliser", "--model", "sym-circular:6", "--enumerate"],
     ["dist", "--model", "sym-circular:4", "(1,9)", "e"],
     ["cache", "verify", "--model", "sym-circular:5", *CACHE],
