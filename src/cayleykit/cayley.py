@@ -16,7 +16,7 @@ import zlib
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from math import factorial
+from math import comb, factorial
 from pathlib import Path
 
 import numpy as np
@@ -201,17 +201,24 @@ class DistanceOracle:
         return seen
 
     def geodesics(self, g, h, enumerate_words: bool = False, cap: int = DEFAULT_WORD_CAP) -> GeodesicSet:
-        """All geodesic words from g to h; count stays exact when words are capped."""
+        """All geodesic words from g to h; count stays exact when words are capped.
+
+        In Z^2 the interval is the whole grid box, so the count is C(|dx|+|dy|, |dx|);
+        every other model sums paths one grade at a time along grade_walk.
+        """
         model = self.model
         total = self.distance(g, h)
-        gens = model.generating_set.generators
-        counts = {g: 1}  # paths from g, for the current grade only
-        for steps, grade in grade_walk(model, g, gens, lambda y: self.distance(y, h), total):
-            nxt = dict.fromkeys(grade, 0)
-            for x, _, y in steps:
-                nxt[y] += counts[x]
-            counts = nxt
-        count = counts[h]
+        if isinstance(model, FreeAbelianModel):
+            count = comb(total, abs(h[0] - g[0]))
+        else:
+            gens = model.generating_set.generators
+            counts = {g: 1}  # paths from g, for the current grade only
+            for steps, grade in grade_walk(model, g, gens, lambda y: self.distance(y, h), total):
+                nxt = dict.fromkeys(grade, 0)
+                for x, _, y in steps:
+                    nxt[y] += counts[x]
+                counts = nxt
+            count = counts[h]
         words = ()
         if enumerate_words:
             words = tuple(islice(self._geodesic_words(g, h, total), max(cap, 0)))
@@ -498,22 +505,24 @@ def verify_table_cache(model: GroupModel, path) -> None:
     """Load a cache and run the distance sanity sweep; raises CacheError on damage."""
     lengths = load_table_cache(model, path)
     gen_tables = _generator_tables(model)
-    inv_gen_tables = _inverse_tables(gen_tables)
     if lengths[0] != 0:
         raise CacheError(f"{path}: identity distance is {lengths[0]}, not 0")
     if int(np.count_nonzero(lengths == 0)) != 1:
         raise CacheError(f"{path}: multiple zero entries")
     reached = lengths != UNREACHED
+    ranks = np.flatnonzero(reached)
     dist16 = lengths.astype(np.int16)
-    for j in range(len(gen_tables)):
-        nbr = dist16[gen_tables[j][reached]]
-        if np.any(nbr > dist16[reached] + 1):
+    one_further = dist16[ranks] + 1
+    # once no step jumps, a rank has a predecessor one step closer exactly
+    # when some reached rank steps onto it at one_further
+    has_pred = np.zeros(len(lengths), dtype=bool)
+    for j, table in enumerate(gen_tables):
+        succ = table[ranks]
+        nbr = dist16[succ]
+        if np.any(nbr > one_further):
             raise CacheError(f"{path}: distance jump along generator {j}")
         if np.any(nbr == UNREACHED):
             raise CacheError(f"{path}: reached element with unreached successor")
-    prev_best = np.min(
-        np.stack([dist16[inv_gen_tables[j]] for j in range(len(gen_tables))]), axis=0
-    )
-    interior = reached & (lengths > 0)
-    if np.any(prev_best[interior] != dist16[interior] - 1):
+        has_pred[succ[nbr == one_further]] = True
+    if not np.all(has_pred[reached & (lengths > 0)]):
         raise CacheError(f"{path}: element with no predecessor one step closer")

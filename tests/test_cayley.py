@@ -192,6 +192,15 @@ def test_z2_geodesic_counts_match_a_lattice_path_dp():
             assert (gs.distance, gs.count) == (abs(dx) + abs(dy), _lattice_paths(dx, dy))
 
 
+def test_z2_geodesic_count_runs_no_grade_walk(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("grade_walk called")
+
+    monkeypatch.setattr(cayley, "grade_walk", boom)
+    gs = build_oracle(z2_model()).geodesics((10, -20), (310, 280))
+    assert (gs.distance, gs.count) == (600, _lattice_paths(300, 300))
+
+
 def test_geodesics_of_the_antipode_in_even_cyclic_groups():
     oracle = build_oracle(cyclic_model(8))
     gs = oracle.geodesics(0, 4, enumerate_words=True)
