@@ -203,8 +203,7 @@ class DistanceOracle:
     def geodesics(self, g, h, enumerate_words: bool = False, cap: int = DEFAULT_WORD_CAP) -> GeodesicSet:
         """All geodesic words from g to h; count stays exact when words are capped.
 
-        In Z^2 the interval is the whole grid box, so the count is C(|dx|+|dy|, |dx|);
-        every other model sums paths one grade at a time along grade_walk.
+        Z^2 counts are closed-form, C(|dx|+|dy|, |dx|); other models sum paths along grade_walk.
         """
         model = self.model
         total = self.distance(g, h)
