@@ -48,6 +48,15 @@ CASES = [
     ["census", "--model", "sym-circular:6", "--figure", "5"],
     ["census", "--model", "sym-circular:6", "--figure", "6"],
     ["classify", "--model", "sym-circular:5", "--relation", "iso", "--all"],
+    ["classify", "--model", "sym-circular:5", "--relation", "paths", "--all"],
+    ["classify", "--model", "sym-circular:5", "--relation", "size", "--all",
+     "--format", "json"],
+    ["interval", "--model", "sym-custom:5:(1,2,3)(4,5);(1,2,3);(1,4)", "e", "(4,5)",
+     "--stats"],
+    ["geodesics", "--model", "sym-adjacent:5", "e", "(1,5)(2,4)"],
+    ["geodesics", "--model", "sym-custom:6:(1,2,3,4,5,6);(1,2)", "e", "(2,6)",
+     "--format", "json"],
+    ["census", "--model", "sym-circular:6", "--relation", "length", "--format", "json"],
     ["geodesics", "--model", "sym-circular:6", "e", "(1,4)(2,5)(3,6)", "--enumerate",
      "--cap", "3"],
     ["geodesics", "--model", "z2", "(3,-2)", "(-4,5)", "--format", "json"],
