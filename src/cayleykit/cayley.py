@@ -203,7 +203,8 @@ class DistanceOracle:
     def geodesics(self, g, h, enumerate_words: bool = False, cap: int = DEFAULT_WORD_CAP) -> GeodesicSet:
         """All geodesic words from g to h; count stays exact when words are capped.
 
-        Z^2 counts are closed-form, C(|dx|+|dy|, |dx|); other models sum paths along grade_walk.
+        Z^2 counts are closed-form, C(|dx|+|dy|, |dx|); other models count paths
+        over the grade_walk steps, holding one count per interval element.
         """
         model = self.model
         total = self.distance(g, h)
@@ -211,13 +212,8 @@ class DistanceOracle:
             count = comb(total, abs(h[0] - g[0]))
         else:
             gens = model.generating_set.generators
-            counts = {g: 1}  # paths from g, for the current grade only
-            for steps, grade in grade_walk(model, g, gens, lambda y: self.distance(y, h), total):
-                nxt = dict.fromkeys(grade, 0)
-                for x, _, y in steps:
-                    nxt[y] += counts[x]
-                counts = nxt
-            count = counts[h]
+            walk = grade_walk(model, g, gens, lambda y: self.distance(y, h), total)
+            count = path_counts(g, (step for steps, _ in walk for step in steps))[h]
         words = ()
         if enumerate_words:
             words = tuple(islice(self._geodesic_words(g, h, total), max(cap, 0)))
@@ -266,6 +262,18 @@ def grade_walk(model: GroupModel, start, gens, dist_to_end, n: int):
                     steps.append((x, j, y))
         grade = list(nxt)
         yield steps, grade
+
+
+def path_counts(start, steps) -> dict:
+    """Paths from start to every element that the cover steps (x, j, y) reach.
+
+    steps must be listed grade by grade, as grade_walk yields them, so each
+    x is fully counted before a step leaves it.
+    """
+    counts = {start: 1}
+    for x, _, y in steps:
+        counts[y] = counts.get(y, 0) + counts[x]
+    return counts
 
 
 def _default_strategy(model: GroupModel) -> str:
@@ -518,10 +526,10 @@ def verify_table_cache(model: GroupModel, path) -> None:
     for j, table in enumerate(gen_tables):
         succ = table[ranks]
         nbr = dist16[succ]
+        if np.any(nbr == UNREACHED):  # tested first: 255 also exceeds one_further
+            raise CacheError(f"{path}: reached element with unreached successor")
         if np.any(nbr > one_further):
             raise CacheError(f"{path}: distance jump along generator {j}")
-        if np.any(nbr == UNREACHED):
-            raise CacheError(f"{path}: reached element with unreached successor")
         has_pred[succ[nbr == one_further]] = True
     if not np.all(has_pred[reached & (lengths > 0)]):
         raise CacheError(f"{path}: element with no predecessor one step closer")

@@ -11,6 +11,7 @@ small in memory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -34,18 +35,13 @@ class Classification:
 
 def _iso_profile(interval: GradedInterval):
     """Cheap invariants that must agree before a full isomorphism test runs."""
-    out_deg = {}
-    in_deg = {}
-    for x, _, y in interval.cover_edges:
-        out_deg[x] = out_deg.get(x, 0) + 1
-        in_deg[y] = in_deg.get(y, 0) + 1
-    per_rank_out = tuple(
-        tuple(sorted(out_deg.get(x, 0) for x in rs)) for rs in interval.rank_sets
-    )
-    per_rank_in = tuple(
-        tuple(sorted(in_deg.get(x, 0) for x in rs)) for rs in interval.rank_sets
-    )
-    return (interval.rank_profile, per_rank_out, per_rank_in, count_geodesics(interval))
+    children, parents = interval.dag
+    bounds = list(accumulate(interval.rank_profile, initial=0))  # dag indices run rank by rank
+
+    def per_rank(adj):
+        return tuple(tuple(sorted(map(len, adj[a:b]))) for a, b in zip(bounds, bounds[1:]))
+
+    return (interval.rank_profile, per_rank(children), per_rank(parents), count_geodesics(interval))
 
 
 def classify(
@@ -197,6 +193,18 @@ def _census_worker_chunk(bounds):
     return out
 
 
+def _histogram(oracle: DistanceOracle, relation: str, values, unreached) -> CensusResult:
+    """Counts per value over all ranks, each class represented by its lowest rank."""
+    keys, first, counts = np.unique(values, return_index=True, return_counts=True)
+    fmt = oracle.model.format_element
+    result = CensusResult(oracle.model.name, relation, {}, {})
+    for key, r, count in zip(keys.tolist(), first.tolist(), counts.tolist()):
+        if key != unreached:
+            result.counts[key] = count
+            result.representatives[key] = fmt(oracle.unrank(r))
+    return result
+
+
 def census(model: GroupModel, relation: str, workers: int = 1) -> CensusResult:
     """Histogram of length or interval size over the whole group."""
     if relation not in ("length", "size"):
@@ -211,15 +219,7 @@ def census(model: GroupModel, relation: str, workers: int = 1) -> CensusResult:
         lengths = oracle.lengths
         fmt = model.format_element
         if relation == "length":
-            counts: dict = {}
-            reps: dict = {}
-            for r in range(len(lengths)):
-                d = int(lengths[r])
-                if d == UNREACHED:
-                    continue
-                counts[d] = counts.get(d, 0) + 1
-                reps.setdefault(d, fmt(oracle.unrank(r)))
-            return CensusResult(model.name, relation, counts, reps)
+            return _histogram(oracle, relation, lengths, UNREACHED)
         if workers > 1:
             # imported here: it loads multiprocessing, which every CLI start would pay for
             from concurrent.futures import ProcessPoolExecutor
@@ -244,17 +244,7 @@ def census(model: GroupModel, relation: str, workers: int = 1) -> CensusResult:
             counts = {s: c for s, (c, _) in merged.items()}
             reps = {s: fmt(oracle.unrank(r)) for s, (_, r) in merged.items()}
             return CensusResult(model.name, relation, counts, reps)
-        sizes = _interval_size_vector(oracle)
-        counts = {}
-        reps = {}
-        for r in range(len(sizes)):
-            s = int(sizes[r])
-            if s < 0:
-                continue
-            counts[s] = counts.get(s, 0) + 1
-            if s not in reps:
-                reps[s] = fmt(oracle.unrank(r))
-        return CensusResult(model.name, relation, counts, reps)
+        return _histogram(oracle, relation, _interval_size_vector(oracle), -1)
 
     # small generic models: walk every element honestly
     oracle = build_oracle(model)

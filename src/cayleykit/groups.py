@@ -100,39 +100,12 @@ def perm_inverse(a):
 
 def perm_parity(a) -> int:
     """0 for even permutations, 1 for odd."""
-    n = len(a)
-    seen = [False] * n
-    parity = 0
-    for i in range(n):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = a[j]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
+    return sum(len(c) - 1 for c in perm_to_cycles(a)) % 2
 
 
 def cycle_structure(a) -> tuple:
     """Multiset of nontrivial cycle lengths, sorted descending, e.g. (3, 2)."""
-    n = len(a)
-    seen = [False] * n
-    lengths = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = a[j]
-            length += 1
-        if length > 1:
-            lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
+    return tuple(sorted((len(c) for c in perm_to_cycles(a)), reverse=True))
 
 
 def cycles_to_perm(n: int, cycles) -> tuple:

@@ -5,14 +5,21 @@ distance from g.  Construction walks rank sets outward from g: a candidate
 g'*s joins rank i exactly when d(g'*s, h) = n - i, which forces d(g, g'*s) = i.
 Rank sets keep first-discovered order (parent order, then generator index), so
 builds are deterministic.
+
+The statistics read one cover DAG per interval, GradedInterval.dag, built on
+first use.  Its index i is the i-th key of element_rank, which lists elements
+rank by rank in first-discovered order, so every cover edge runs from a lower
+index to a higher one and a reverse index sweep visits children first.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 
-from .cayley import DistanceOracle, grade_walk
+from .cayley import DistanceOracle, grade_walk, path_counts
 from .errors import ModelError
 
 
@@ -36,6 +43,30 @@ class GradedInterval:
 
     def __contains__(self, el) -> bool:
         return el in self.element_rank
+
+    @cached_property
+    def dag(self) -> tuple:
+        """(children, parents): cover-edge index lists over element_rank's key order."""
+        index = {x: i for i, x in enumerate(self.element_rank)}
+        children = [[] for _ in index]
+        parents = [[] for _ in index]
+        for x, _, y in self.cover_edges:
+            i, k = index[x], index[y]
+            children[i].append(k)
+            parents[k].append(i)
+        return children, parents
+
+    @cached_property
+    def up_masks(self) -> list:
+        """Reflexive up-sets as bitmasks over the dag index."""
+        children, _ = self.dag
+        up = [0] * len(children)
+        for i in range(len(children) - 1, -1, -1):
+            mask = 1 << i
+            for c in children[i]:
+                mask |= up[c]
+            up[i] = mask
+        return up
 
 
 def build_interval(oracle: DistanceOracle, g, h) -> GradedInterval:
@@ -91,40 +122,7 @@ def translate_interval(interval: GradedInterval, t) -> GradedInterval:
 
 def count_geodesics(interval: GradedInterval) -> int:
     """Number of geodesic words from bottom to top (paths in the cover DAG)."""
-    counts = {interval.bottom: 1}
-    children = {}
-    for x, _, y in interval.cover_edges:
-        children.setdefault(x, []).append(y)
-    for rs in interval.rank_sets[:-1]:
-        for x in rs:
-            cx = counts.get(x, 0)
-            for y in children.get(x, ()):
-                counts[y] = counts.get(y, 0) + cx
-    return counts.get(interval.top, 1 if interval.length == 0 else 0)
-
-
-def _indexed(interval: GradedInterval):
-    """Element -> dense index in rank-major discovery order."""
-    index = {}
-    for rs in interval.rank_sets:
-        for x in rs:
-            index[x] = len(index)
-    return index
-
-
-def _up_masks(interval: GradedInterval) -> list:
-    """Reflexive up-sets as bitmasks over the dense index."""
-    index = _indexed(interval)
-    children = [[] for _ in range(len(index))]
-    for x, _, y in interval.cover_edges:
-        children[index[x]].append(index[y])
-    up = [0] * len(index)
-    for i in range(len(index) - 1, -1, -1):
-        mask = 1 << i
-        for c in children[i]:
-            mask |= up[c]
-        up[i] = mask
-    return up
+    return path_counts(interval.bottom, interval.cover_edges).get(interval.top, 0)
 
 
 def _hopcroft_karp(adj, m: int) -> int:
@@ -176,7 +174,7 @@ def _hopcroft_karp(adj, m: int) -> int:
 
 def max_antichain(interval: GradedInterval) -> int:
     """Largest antichain size, by Dilworth duality with a minimum chain cover."""
-    up = _up_masks(interval)
+    up = interval.up_masks
     m = len(up)
     adj = [up[i] & ~(1 << i) for i in range(m)]  # strict comparabilities
     return m - _hopcroft_karp(adj, m)
@@ -188,7 +186,7 @@ def is_lattice(interval: GradedInterval) -> bool:
     An interval is finite with a bottom, so joins for every pair make it a
     lattice: the meet of a and b is the join of their common lower bounds.
     """
-    up = _up_masks(interval)
+    up = interval.up_masks
     m = len(up)
     for i in range(m):
         for j in range(i + 1, m):
@@ -251,33 +249,17 @@ def _refine_colors(rank_of, children, parents, m):
         colors = new
 
 
-def _dag_arrays(interval: GradedInterval):
-    index = _indexed(interval)
-    m = len(index)
-    rank_of = [0] * m
-    for r, rs in enumerate(interval.rank_sets):
-        for x in rs:
-            rank_of[index[x]] = r
-    children = [set() for _ in range(m)]
-    parents = [set() for _ in range(m)]
-    for x, _, y in interval.cover_edges:
-        children[index[x]].add(index[y])
-        parents[index[y]].add(index[x])
-    return m, rank_of, children, parents
-
-
 def order_isomorphic(a: GradedInterval, b: GradedInterval) -> bool:
     """Exact rank-preserving isomorphism test on the cover DAGs."""
     if a.size != b.size or a.rank_profile != b.rank_profile:
         return False
     if len(a.cover_edges) != len(b.cover_edges):
         return False
-    m, rank_a, ch_a, pa_a = _dag_arrays(a)
-    _, rank_b, ch_b, pa_b = _dag_arrays(b)
+    m = a.size
+    (ch_a, pa_a), (ch_b, pa_b) = a.dag, b.dag
+    rank_a, rank_b = list(a.element_rank.values()), list(b.element_rank.values())
     col_a = _refine_colors(rank_a, ch_a, pa_a, m)
     col_b = _refine_colors(rank_b, ch_b, pa_b, m)
-    from collections import Counter
-
     if Counter(col_a) != Counter(col_b):
         return False
     # rank-major order guarantees all parents are mapped before their children
@@ -285,6 +267,7 @@ def order_isomorphic(a: GradedInterval, b: GradedInterval) -> bool:
     by_color = {}
     for i in range(m):
         by_color.setdefault((rank_b[i], col_b[i]), []).append(i)
+    parent_sets_b = [set(p) for p in pa_b]
     mapping = [-1] * m
     used = [False] * m
 
@@ -292,7 +275,9 @@ def order_isomorphic(a: GradedInterval, b: GradedInterval) -> bool:
         i = order[pos]
         want_parents = {mapping[p] for p in pa_a[i]}
         key = (rank_a[i], col_a[i])
-        return (j for j in by_color.get(key, ()) if not used[j] and pa_b[j] == want_parents)
+        return (
+            j for j in by_color.get(key, ()) if not used[j] and parent_sets_b[j] == want_parents
+        )
 
     # depth-first search over positions; tries[pos] yields the candidates left there
     tries = [candidates(0)]

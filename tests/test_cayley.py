@@ -303,6 +303,8 @@ def _damage_s6_lengths(case):
         lengths[120] = 3
     elif case == "unreached successor":
         lengths[5], lengths[125] = 254, UNREACHED
+    elif case == "unreached antipode":
+        lengths[450] = UNREACHED
     else:
         lengths[450] = 8
     return lengths
@@ -313,6 +315,7 @@ SWEEP_ERRORS = {
     "second zero": "multiple zero entries",
     "jump": "distance jump along generator 0",
     "unreached successor": "reached element with unreached successor",
+    "unreached antipode": "reached element with unreached successor",
     "no predecessor": "element with no predecessor one step closer",
 }
 

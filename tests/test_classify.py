@@ -21,6 +21,8 @@ from cayleykit import (
     theorem1_check,
     z2_model,
 )
+from cayleykit.cayley import DistanceOracle
+from cayleykit.ranking import perm_unrank
 
 
 def _oracle(model):
@@ -100,6 +102,25 @@ def test_census_size_matches_interval_construction():
         seen.setdefault(build_interval(oracle, model.identity, g).size, 0)
         seen[build_interval(oracle, model.identity, g).size] += 1
     assert result.counts == seen
+
+
+def test_census_unranks_one_representative_per_class(monkeypatch):
+    model = circular_model(6)
+    lengths = DistanceOracle(model, "table").lengths
+    first = {}
+    for r, d in enumerate(lengths.tolist()):
+        first.setdefault(d, model.format_element(perm_unrank(r, 6)))
+    calls = []
+    unrank = DistanceOracle.unrank
+    monkeypatch.setattr(DistanceOracle, "unrank", lambda self, r: calls.append(r) or unrank(self, r))
+    for relation in ("length", "size"):
+        calls.clear()
+        result = census(model, relation)
+        assert result.total == 720
+        assert len(calls) == len(result.counts)
+        if relation == "length":
+            assert result.representatives == first
+            assert all(type(k) is int and type(c) is int for k, c in result.counts.items())
 
 
 def test_census_worker_pool_agrees_with_single_core():

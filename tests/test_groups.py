@@ -83,6 +83,28 @@ def test_parity_is_a_homomorphism(a, b):
     assert perm_parity(perm_multiply(a, b)) == (perm_parity(a) + perm_parity(b)) % 2
 
 
+@given(st.integers(1, 7).flatmap(lambda n: st.permutations(range(n))))
+def test_parity_and_cycle_structure_match_direct_counts(a):
+    a = tuple(a)
+    inversions = sum(a[i] > a[j] for i, j in combinations(range(len(a)), 2))
+    assert perm_parity(a) == inversions % 2
+    lengths = []
+    unseen = set(range(len(a)))
+    while unseen:
+        i = start = min(unseen)
+        length = 0
+        while True:
+            unseen.discard(i)
+            length += 1
+            i = a[i]
+            if i == start:
+                break
+        if length > 1:
+            lengths.append(length)
+    assert sorted(cycle_structure(a)) == sorted(lengths)
+    assert list(cycle_structure(a)) == sorted(cycle_structure(a), reverse=True)
+
+
 def test_cycle_notation_round_trip():
     rng = random.Random(7)
     for n in range(1, 9):

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import json
 import random
+from functools import cached_property
 from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleykit import (
     ModelError,
@@ -29,6 +32,7 @@ from cayleykit import (
     translate_interval,
     z2_model,
 )
+from cayleykit.intervals import GradedInterval
 
 
 def _interval_le(oracle, g, x, y):
@@ -310,3 +314,48 @@ def test_no_module_raises_the_recursion_limit():
     assert sources
     for path in sources:
         assert "setrecursionlimit" not in path.read_text(), path
+
+
+_S5 = {"circular": circular_model(5), "adjacent": adjacent_model(5)}
+_S5_ORACLES = {kind: build_oracle(model) for kind, model in _S5.items()}
+_S5_ELEMENTS = {kind: list(model.elements()) for kind, model in _S5.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_S5)), st.integers(0, 119), st.integers(0, 119), st.integers(0, 119))
+def test_interval_properties_against_brute_force(kind, gi, hi, ti):
+    model, oracle, everyone = _S5[kind], _S5_ORACLES[kind], _S5_ELEMENTS[kind]
+    g, h, t = everyone[gi], everyone[hi], everyone[ti]
+    d = oracle.distance(g, h)
+    members = {x for x in everyone if oracle.distance(g, x) + oracle.distance(x, h) == d}
+    interval = build_interval(oracle, g, h)
+    assert set(interval.element_rank) == members
+    # paths by dynamic programming over members sorted by distance from g
+    paths = dict.fromkeys(members, 0)
+    paths[g] = 1
+    for x in sorted(members, key=lambda x: oracle.distance(g, x)):
+        for s in model.generating_set.generators:
+            y = model.multiply(x, s)
+            if y in members and oracle.distance(g, y) == oracle.distance(g, x) + 1:
+                paths[y] += paths[x]
+    assert count_geodesics(interval) == oracle.geodesics(g, h).count == paths[h]
+    assert max_antichain(interval) >= max(interval.rank_profile)
+    assert interval_stats(translate_interval(interval, t)) == interval_stats(interval)
+
+
+def test_interval_stats_builds_the_dag_and_up_masks_once(monkeypatch):
+    builds = []
+    for name in ("dag", "up_masks"):
+        build = GradedInterval.__dict__[name].func
+
+        def counted(self, build=build, name=name):
+            builds.append(name)
+            return build(self)
+
+        prop = cached_property(counted)
+        prop.__set_name__(GradedInterval, name)
+        monkeypatch.setattr(GradedInterval, name, prop)
+    model = circular_model(5)
+    interval = build_interval(build_oracle(model), model.identity, model.parse_element("(1,3)(2,4)"))
+    interval_stats(interval)
+    assert sorted(builds) == ["dag", "up_masks"]
