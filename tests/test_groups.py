@@ -101,8 +101,7 @@ def test_parity_and_cycle_structure_match_direct_counts(a):
                 break
         if length > 1:
             lengths.append(length)
-    assert sorted(cycle_structure(a)) == sorted(lengths)
-    assert list(cycle_structure(a)) == sorted(cycle_structure(a), reverse=True)
+    assert cycle_structure(a) == tuple(sorted(lengths, reverse=True))
 
 
 def test_cycle_notation_round_trip():
