@@ -67,6 +67,14 @@ CASES = [
     ["normaliser", "--model", "sym-circular:6", "--enumerate"],
     ["dist", "--model", "sym-circular:4", "(1,9)", "e"],
     ["cache", "verify", "--model", "sym-circular:5", *CACHE],
+    ["median", "--model", "sym-circular:8", "(1,5,3)(2,7)", "(4,8,6)", "(1,8)(2,3)",
+     "--format", "text"],
+    ["median", "--model", "sym-circular:9", "(1,5,3)(2,7)", "(4,9,6)", "(1,8)(2,3)(5,9)",
+     "--format", "text"],
+    ["median", "--model", "sym-custom:6:(1,2,3,4,5,6);(1,6,5,4,3,2);(1,2)", "(1,3)",
+     "(2,5,4)", "(1,6)(3,4)"],
+    ["median", "--model", "sym-adjacent:6", "e", "(1,4)", "(2,5,6)"],
+    ["median", "--model", "sym-circular:6", "(1,3,5)", "(1,3,5)", "(1,3,5)"],
 ]
 
 
