@@ -88,10 +88,22 @@ class DistanceOracle:
         return _inverse_tables(self.gen_tables)
 
     @cached_property
+    def perms(self) -> np.ndarray:
+        """perms[r] = perm_r as a uint8 row, all n! of them, built on first use."""
+        return all_perms_array(self.model.n)
+
+    @cached_property
     def inverse_ranks(self) -> np.ndarray:
         """inverse_ranks[r] = rank(perm_r^-1), built on first use."""
-        perms = all_perms_array(self.model.n)
-        return rank_rows(np.argsort(perms, axis=1).astype(np.uint8)).astype(np.int32)
+        return rank_rows(np.argsort(self.perms, axis=1).astype(np.uint8)).astype(np.int32)
+
+    def dist_from(self, g) -> np.ndarray:
+        """d(g, x) for every rank x, as lengths[rank(g^-1 x)] (UNREACHED stays 255).
+
+        int16, so sums of distances cannot wrap past UNREACHED as uint8 would.
+        """
+        g_inv = np.array(self.model.inverse(self.model.check_element(g)), dtype=np.intp)
+        return self.lengths[rank_rows(self.perms[:, g_inv])].astype(np.int16)
 
     def rank(self, g) -> int:
         return perm_rank(g)

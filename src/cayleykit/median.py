@@ -5,13 +5,22 @@ translation, compute there, translate answers back).  Each corner gets a
 radius delta(c_i) = d(c_i, I) where I is the interval between the other two
 corners; the interior is the intersection of the three closed balls.  Every
 median (minimizer of the summed distance to the corners) lies in the interior,
-so an exhaustive interior scan is exact.
+so an exhaustive interior scan is exact.  The theorem needs a symmetric
+metric, so a generating set that is not inverse-closed is refused.
+
+Table oracles (symmetric models, n <= 9) read everything from three distance
+vectors over all n! ranks, D_i[x] = d(c_i, x): delta_i is the least D_i where
+D_j + D_k = d(c_j, c_k), and the interior is where every D_i <= delta_i.
+Every other strategy (closed forms, bidirectional search past the table
+limit) builds the intervals and scans the smallest ball element by element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+
+import numpy as np
 
 from .cayley import DistanceOracle
 from .errors import CapabilityError, InvariantError
@@ -45,8 +54,40 @@ def make_triangle(model: GroupModel, c0, c1, c2) -> Triangle:
     return Triangle.make(model, c0, c1, c2)
 
 
+def _require_symmetric(triangle: Triangle):
+    model = triangle.model
+    if not model.generating_set.inverse_closed:
+        raise CapabilityError(
+            f"medians need an inverse-closed generating set; {model.name} is directed"
+        )
+
+
+def _distance_vectors(oracle: DistanceOracle, triangle: Triangle):
+    """D_i = d(c_i, x) over every rank x, and the side d(c_j, c_k) facing each corner.
+
+    The sides are taken n1->n2, e->n2, e->n1, the order in which the interval
+    scan meets them, so an unreachable corner raises the same error.
+    """
+    e, n1, n2 = triangle.normalized
+    sides = (oracle.distance(n1, n2), oracle.distance(e, n2), oracle.distance(e, n1))
+    vectors = (oracle.lengths.astype(np.int16), oracle.dist_from(n1), oracle.dist_from(n2))
+    return vectors, sides
+
+
+def _vector_deltas(vectors, sides) -> tuple:
+    d0, d1, d2 = vectors
+    return (
+        int(d0[d1 + d2 == sides[0]].min()),
+        int(d1[d0 + d2 == sides[1]].min()),
+        int(d2[d0 + d1 == sides[2]].min()),
+    )
+
+
 def deltas(oracle: DistanceOracle, triangle: Triangle) -> tuple:
     """Per-corner distance to the interval spanned by the other two corners."""
+    _require_symmetric(triangle)
+    if oracle.strategy == "table":
+        return _vector_deltas(*_distance_vectors(oracle, triangle))
     e, n1, n2 = triangle.normalized
     i12 = build_interval(oracle, n1, n2)
     i02 = build_interval(oracle, e, n2)
@@ -77,30 +118,61 @@ class InteriorRegion:
 
 def interior(oracle: DistanceOracle, triangle: Triangle) -> InteriorRegion:
     """Intersection of the three closed corner balls, scanned exhaustively."""
+    _require_symmetric(triangle)
+    if oracle.strategy == "table":
+        return _table_interior(oracle, triangle)
     corners = triangle.normalized
     radii = deltas(oracle, triangle)
     pivot = min(range(3), key=lambda i: radii[i])
     candidates = oracle.ball(corners[pivot], radii[pivot])
-    # half the perimeter floors the weight when the metric is symmetric
-    bound = 0
-    if triangle.model.generating_set.inverse_closed:
-        perimeter = (
-            oracle.distance(corners[0], corners[1])
-            + oracle.distance(corners[1], corners[2])
-            + oracle.distance(corners[0], corners[2])
-        )
-        bound = (perimeter + 1) // 2
+    perimeter = (
+        oracle.distance(corners[0], corners[1])
+        + oracle.distance(corners[1], corners[2])
+        + oracle.distance(corners[0], corners[2])
+    )
+    bound = _half_perimeter(perimeter)
     records = {}
     for x in sorted(candidates):
         dists = tuple(oracle.distance(c, x) for c in corners)
         weight = sum(dists)
         if weight < bound:
-            raise InvariantError(
-                f"weight {weight} beats the half-perimeter bound {bound}; the metric is inconsistent"
-            )
+            _beaten(weight, bound)
         if all(dists[i] <= radii[i] for i in range(3)):
             records[x] = (*dists, weight)
     return InteriorRegion(triangle, radii, list(records), records)
+
+
+def _table_interior(oracle: DistanceOracle, triangle: Triangle) -> InteriorRegion:
+    """interior() from three distance vectors; elements come out in rank order.
+
+    Rank order is lexicographic tuple order, the order of the scan's sorted().
+    """
+    vectors, sides = _distance_vectors(oracle, triangle)
+    radii = _vector_deltas(vectors, sides)
+    pivot = radii.index(min(radii))
+    weight = vectors[0] + vectors[1] + vectors[2]
+    bound = _half_perimeter(sum(sides))
+    low = np.flatnonzero((vectors[pivot] <= radii[pivot]) & (weight < bound))
+    if low.size:
+        _beaten(int(weight[low[0]]), bound)
+    inside = np.flatnonzero(
+        (vectors[0] <= radii[0]) & (vectors[1] <= radii[1]) & (vectors[2] <= radii[2])
+    )
+    elements = list(map(tuple, oracle.perms[inside].tolist()))
+    columns = (v[inside].tolist() for v in (*vectors, weight))
+    records = dict(zip(elements, zip(*columns)))
+    return InteriorRegion(triangle, radii, elements, records)
+
+
+def _half_perimeter(perimeter: int) -> int:
+    """Under a symmetric metric no element weighs less than half the perimeter."""
+    return (perimeter + 1) // 2
+
+
+def _beaten(weight: int, bound: int):
+    raise InvariantError(
+        f"weight {weight} beats the half-perimeter bound {bound}; the metric is inconsistent"
+    )
 
 
 def steiner_weight(oracle: DistanceOracle, h, triangle: Triangle) -> int:

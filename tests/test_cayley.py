@@ -219,6 +219,28 @@ def test_ball_matches_distances():
             assert (h in ball) == (oracle.distance(g, h) <= radius)
 
 
+def test_dist_from_matches_distance_and_keeps_the_unreached_marker():
+    # <(1,2,3), (4,5)> has order 6 in S6, so most ranks are unreached from g
+    sub = custom_model(6, ["(1,2,3)", "(1,3,2)", "(4,5)"], require_generating=False)
+    rng = random.Random(11)
+    for model in (circular_model(5), sub):
+        oracle = build_oracle(model)
+        assert "perms" not in vars(oracle)  # built on first use only
+        everyone = list(permutations(range(model.n)))  # lexicographic = rank order
+        for g in rng.sample(everyone, 4):
+            want = []
+            for x in everyone:
+                try:
+                    want.append(oracle.distance(g, x))
+                except UnreachableError:
+                    want.append(UNREACHED)
+            got = oracle.dist_from(g)
+            assert got.tolist() == want
+        assert oracle.perms.tolist() == [list(p) for p in everyone]
+    # a sum of two vectors must not wrap past the marker, as uint8 would
+    assert int((got + got).max()) == 2 * UNREACHED
+
+
 def test_ball_rejects_negative_radius():
     oracle = build_oracle(z2_model())
     with pytest.raises(ModelError):

@@ -153,6 +153,21 @@ def test_median_default_json_matches_documented_example(capsys):
     assert "circular" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["median", "--model", "sym-custom:6:(1,2);(1,2,3,4,5,6)", "e", "(1,4)", "(2,5,6)"],
+        ["median", "--model", "cyclic:7:semigroup", "0", "1", "2"],
+    ],
+)
+def test_median_under_a_directed_set_exits_3_with_one_line(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "inverse-closed" in err
+
+
 def test_median_text_format(capsys):
     code, out, _ = _run(
         capsys,

@@ -7,12 +7,17 @@ from itertools import combinations
 
 import pytest
 
+import cayleykit.median as median_module
 from cayleykit import (
     CapabilityError,
+    DistanceOracle,
+    UnreachableError,
     adjacent_model,
     build_oracle,
     circular_model,
+    custom_model,
     cyclic_model,
+    deltas,
     interior,
     make_triangle,
     median_parity_check,
@@ -209,3 +214,104 @@ def test_median_report_shape():
     assert report["medians"]
     silent = median_report(oracle, tri)
     assert silent["parity_ok"] is None
+
+
+# -- directed generating sets ---------------------------------------------------
+
+
+def _brute_weight(model, oracle, corners):
+    return min(sum(oracle.distance(c, h) for c in corners) for h in model.elements())
+
+
+@pytest.mark.parametrize(
+    "model, corners",
+    [
+        (custom_model(6, ["(1,2)", "(1,2,3,4,5,6)"]), ("e", "(1,4)", "(2,5,6)")),
+        (cyclic_model(7, inverse_closed=False), (0, 1, 2)),
+    ],
+)
+def test_directed_sets_are_refused(model, corners):
+    oracle = build_oracle(model)
+    tri = make_triangle(model, *corners)
+    # the interior theorem fails here: the scan finds no minimizer, or a wrong one
+    assert _brute_weight(model, oracle, tri.corners) in (17, 3)
+    for call in (interior, medians, median_report, deltas):
+        with pytest.raises(CapabilityError, match="inverse-closed"):
+            call(oracle, tri)
+
+
+# -- distance vectors (table oracles) against the interval scan -----------------
+
+
+def _random_triangles(model, count, seed):
+    rng = random.Random(seed)
+    everyone = list(model.elements())
+    return [make_triangle(model, *(rng.choice(everyone) for _ in range(3))) for _ in range(count)]
+
+
+def _assert_same_region(table, scan, tri):
+    region, expected = interior(table, tri), interior(scan, tri)
+    assert deltas(table, tri) == deltas(scan, tri) == expected.deltas
+    assert region.deltas == expected.deltas
+    assert region.elements == expected.elements
+    assert region.records == expected.records
+    got, want = medians(table, tri), medians(scan, tri)
+    assert (got.weight, got.minimizers) == (want.weight, want.minimizers)
+
+
+@pytest.mark.parametrize(
+    "model, count",
+    [
+        (circular_model(5), 25),
+        (circular_model(6), 6),
+        (custom_model(6, ["(1,2,3,4,5,6)", "(1,6,5,4,3,2)", "(1,2)"]), 6),
+    ],
+    ids=["circular5", "circular6", "custom6"],
+)
+def test_table_interior_matches_the_interval_scan(model, count):
+    table = build_oracle(model)
+    scan = DistanceOracle(model, "bidirectional")
+    assert table.strategy == "table"
+    for tri in _random_triangles(model, count, seed=41 + model.n):
+        _assert_same_region(table, scan, tri)
+
+
+def test_table_interior_builds_no_interval_and_no_ball(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the table path scanned intervals or balls")
+
+    model = circular_model(6)
+    oracle = build_oracle(model)
+    triangles = _random_triangles(model, 10, seed=43)
+    monkeypatch.setattr(DistanceOracle, "ball", refuse)
+    monkeypatch.setattr(median_module, "build_interval", refuse)
+    for tri in triangles:
+        result = medians(oracle, tri)
+        brute, best = _brute_medians(model, oracle, tri.corners)
+        assert (result.minimizers, result.weight) == (brute, best)
+
+
+def test_table_interior_on_a_non_generating_set():
+    # <(1,2,3), (4,5)> has order 6: its cosets are the unreachable regions
+    model = custom_model(6, ["(1,2,3)", "(1,3,2)", "(4,5)"], require_generating=False)
+    table = build_oracle(model)
+    scan = DistanceOracle(model, "bidirectional")
+    cross = [
+        (("e", "(1,2,3)", "(1,4)"), "no word from (1,2,3) to (1,4)"),
+        (("e", "(1,4)", "(1,4)"), "no word from e to (1,4)"),
+        (("(5,6)", "(4,6,5)", "(5,6)"), "no word from (4,6) to e"),
+    ]
+    for corners, message in cross:
+        with pytest.raises(UnreachableError) as info:
+            interior(table, make_triangle(model, *corners))
+        assert str(info.value) == message
+    # same coset: unreached ranks hold 255 and must not sum into a side length
+    parse, mul = model.parse_element, model.multiply
+    for t in ("e", "(1,6)", "(2,4,6)", "(1,5)(3,6)"):
+        for triple in [
+            ("e", "(1,2,3)", "(4,5)"),
+            ("(1,2,3)", "(1,3,2)(4,5)", "(4,5)"),
+            ("(4,5)", "(1,2,3)(4,5)", "(1,3,2)"),
+        ]:
+            corners = [mul(parse(t), parse(h)) for h in triple]
+            _assert_same_region(table, scan, make_triangle(model, *corners))
