@@ -4,8 +4,8 @@ Output is deterministic: identical invocations produce byte-identical text,
 JSON, CSV, and DOT.  Exit codes: 2 for malformed models or elements (a custom
 set that does not generate its group is refused at parse), 3 for operations a
 model cannot support (--strategy table past n = 9, census or classify --all
-on z2), 4 for integrity failures (corrupt caches, violated internal
-invariants).
+on z2, median under a set that is not inverse-closed), 4 for integrity
+failures (corrupt caches, violated internal invariants).
 """
 
 from __future__ import annotations

@@ -62,32 +62,28 @@ def _require_symmetric(triangle: Triangle):
         )
 
 
-def _distance_vectors(oracle: DistanceOracle, triangle: Triangle):
-    """D_i = d(c_i, x) over every rank x, and the side d(c_j, c_k) facing each corner.
+def _table_vectors(oracle: DistanceOracle, triangle: Triangle):
+    """D_i[x] = d(c_i, x) over every rank x, the sides d(c_j, c_k) and the radii.
 
-    The sides are taken n1->n2, e->n2, e->n1, the order in which the interval
-    scan meets them, so an unreachable corner raises the same error.
+    delta_i is the least D_i where D_j + D_k = d(c_j, c_k).  The sides are
+    taken n1->n2, e->n2, e->n1, the order in which the interval scan meets
+    them, so an unreachable corner raises the same error.
     """
     e, n1, n2 = triangle.normalized
     sides = (oracle.distance(n1, n2), oracle.distance(e, n2), oracle.distance(e, n1))
-    vectors = (oracle.lengths.astype(np.int16), oracle.dist_from(n1), oracle.dist_from(n2))
-    return vectors, sides
-
-
-def _vector_deltas(vectors, sides) -> tuple:
-    d0, d1, d2 = vectors
-    return (
-        int(d0[d1 + d2 == sides[0]].min()),
-        int(d1[d0 + d2 == sides[1]].min()),
-        int(d2[d0 + d1 == sides[2]].min()),
+    vecs = (oracle.lengths.astype(np.int16), oracle.dist_from(n1), oracle.dist_from(n2))
+    radii = tuple(
+        int(vecs[i][vecs[j] + vecs[k] == sides[i]].min())
+        for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1))
     )
+    return vecs, sides, radii
 
 
 def deltas(oracle: DistanceOracle, triangle: Triangle) -> tuple:
     """Per-corner distance to the interval spanned by the other two corners."""
     _require_symmetric(triangle)
     if oracle.strategy == "table":
-        return _vector_deltas(*_distance_vectors(oracle, triangle))
+        return _table_vectors(oracle, triangle)[2]
     e, n1, n2 = triangle.normalized
     i12 = build_interval(oracle, n1, n2)
     i02 = build_interval(oracle, e, n2)
@@ -125,18 +121,19 @@ def interior(oracle: DistanceOracle, triangle: Triangle) -> InteriorRegion:
     radii = deltas(oracle, triangle)
     pivot = min(range(3), key=lambda i: radii[i])
     candidates = oracle.ball(corners[pivot], radii[pivot])
+    # half the perimeter floors the weight under a symmetric metric
     perimeter = (
         oracle.distance(corners[0], corners[1])
         + oracle.distance(corners[1], corners[2])
         + oracle.distance(corners[0], corners[2])
     )
-    bound = _half_perimeter(perimeter)
+    bound = (perimeter + 1) // 2
     records = {}
     for x in sorted(candidates):
         dists = tuple(oracle.distance(c, x) for c in corners)
         weight = sum(dists)
         if weight < bound:
-            _beaten(weight, bound)
+            raise _inconsistent(weight, bound)
         if all(dists[i] <= radii[i] for i in range(3)):
             records[x] = (*dists, weight)
     return InteriorRegion(triangle, radii, list(records), records)
@@ -147,30 +144,22 @@ def _table_interior(oracle: DistanceOracle, triangle: Triangle) -> InteriorRegio
 
     Rank order is lexicographic tuple order, the order of the scan's sorted().
     """
-    vectors, sides = _distance_vectors(oracle, triangle)
-    radii = _vector_deltas(vectors, sides)
+    vecs, sides, radii = _table_vectors(oracle, triangle)
     pivot = radii.index(min(radii))
-    weight = vectors[0] + vectors[1] + vectors[2]
-    bound = _half_perimeter(sum(sides))
-    low = np.flatnonzero((vectors[pivot] <= radii[pivot]) & (weight < bound))
+    weight = vecs[0] + vecs[1] + vecs[2]
+    bound = (sum(sides) + 1) // 2
+    low = np.flatnonzero((vecs[pivot] <= radii[pivot]) & (weight < bound))
     if low.size:
-        _beaten(int(weight[low[0]]), bound)
-    inside = np.flatnonzero(
-        (vectors[0] <= radii[0]) & (vectors[1] <= radii[1]) & (vectors[2] <= radii[2])
-    )
+        raise _inconsistent(int(weight[low[0]]), bound)
+    inside = np.flatnonzero((vecs[0] <= radii[0]) & (vecs[1] <= radii[1]) & (vecs[2] <= radii[2]))
     elements = list(map(tuple, oracle.perms[inside].tolist()))
-    columns = (v[inside].tolist() for v in (*vectors, weight))
+    columns = (v[inside].tolist() for v in (*vecs, weight))
     records = dict(zip(elements, zip(*columns)))
     return InteriorRegion(triangle, radii, elements, records)
 
 
-def _half_perimeter(perimeter: int) -> int:
-    """Under a symmetric metric no element weighs less than half the perimeter."""
-    return (perimeter + 1) // 2
-
-
-def _beaten(weight: int, bound: int):
-    raise InvariantError(
+def _inconsistent(weight: int, bound: int) -> InvariantError:
+    return InvariantError(
         f"weight {weight} beats the half-perimeter bound {bound}; the metric is inconsistent"
     )
 

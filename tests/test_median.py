@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,7 @@ import cayleykit.median as median_module
 from cayleykit import (
     CapabilityError,
     DistanceOracle,
+    InvariantError,
     UnreachableError,
     adjacent_model,
     build_oracle,
@@ -315,3 +317,15 @@ def test_table_interior_on_a_non_generating_set():
         ]:
             corners = [mul(parse(t), parse(h)) for h in triple]
             _assert_same_region(table, scan, make_triangle(model, *corners))
+
+
+def test_an_inconsistent_table_trips_the_half_perimeter_bound():
+    model = circular_model(4)
+    oracle = build_oracle(model)
+    oracle.lengths[oracle.rank(model.parse_element("(3,4)"))] = 0  # a second zero
+    for corners, message in [
+        (("e", "(3,4)", "(2,3)"), "weight 1 beats the half-perimeter bound 2"),
+        (("e", "(3,4)", "(1,2,3)"), "weight 2 beats the half-perimeter bound 3"),
+    ]:
+        with pytest.raises(InvariantError, match=re.escape(message)):
+            interior(oracle, make_triangle(model, *corners))
