@@ -98,7 +98,7 @@ class DistanceOracle:
         return rank_rows(np.argsort(self.perms, axis=1).astype(np.uint8)).astype(np.int32)
 
     def dist_from(self, g) -> np.ndarray:
-        """d(g, x) for every rank x, as lengths[rank(g^-1 x)] (UNREACHED stays 255).
+        """Table oracles: d(g, x) for every rank x, lengths[rank(g^-1 x)] (UNREACHED stays 255).
 
         int16, so sums of distances cannot wrap past UNREACHED as uint8 would.
         """
