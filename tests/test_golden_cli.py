@@ -75,6 +75,10 @@ CASES = [
      "(2,5,4)", "(1,6)(3,4)"],
     ["median", "--model", "sym-adjacent:6", "e", "(1,4)", "(2,5,6)"],
     ["median", "--model", "sym-circular:6", "(1,3,5)", "(1,3,5)", "(1,3,5)"],
+    ["interval", "--model", "sym-circular:7", "e", "(1,4,5)(2,7)", "--stats"],
+    ["interval", "--model", "sym-circular:7", "e", "(1,3,4,6)(5,7)", "--stats"],
+    ["interval", "--model", "sym-custom:6:(1,2,3,4,5,6);(1,2)", "e", "(1,3,5)", "--stats"],
+    ["interval", "--model", "z2", "(0,0)", "(12,7)", "--stats", "--format", "json"],
 ]
 
 
