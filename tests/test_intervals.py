@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import random
 from functools import cached_property
@@ -314,6 +315,28 @@ def test_no_module_raises_the_recursion_limit():
     assert sources
     for path in sources:
         assert "setrecursionlimit" not in path.read_text(), path
+
+
+def test_no_function_calls_itself():
+    # deep inputs must not hit the interpreter's recursion limit
+    package = Path(__file__).resolve().parent.parent / "src" / "cayleykit"
+    recursive = []
+    for path in sorted(package.glob("**/*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(fn):
+                if not isinstance(call, ast.Call):
+                    continue
+                f = call.func
+                if (isinstance(f, ast.Name) and f.id == fn.name) or (
+                    isinstance(f, ast.Attribute)
+                    and f.attr == fn.name
+                    and isinstance(f.value, ast.Name)
+                    and f.value.id in ("self", "cls")
+                ):
+                    recursive.append(f"{path.name}:{call.lineno} {fn.name}")
+    assert not recursive
 
 
 _S5 = {"circular": circular_model(5), "adjacent": adjacent_model(5)}
