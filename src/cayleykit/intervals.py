@@ -9,7 +9,10 @@ builds are deterministic.
 The statistics read one cover DAG per interval, GradedInterval.dag, built on
 first use.  Its index i is the i-th key of element_rank, which lists elements
 rank by rank in first-discovered order, so every cover edge runs from a lower
-index to a higher one and a reverse index sweep visits children first.
+index to a higher one and a reverse index sweep visits children first.  The
+bottom is index 0 and the top index m - 1.  Width and the lattice test work
+on that DAG alone: a min flow through it and the joins of upper covers, with
+no all-pairs sweep.
 """
 
 from __future__ import annotations
@@ -143,18 +146,17 @@ def max_antichain(interval: GradedInterval) -> int:
     """
     children, _ = interval.dag
     m = len(children)
-    # arc a enters node head[a] and a ^ 1 is its reverse.  A forward arc has no
-    # upper bound (m exceeds any flow cancelled); a reverse arc holds the
-    # arc's flow above its lower bound.
-    head = []
+    # arc a enters node head[a] and a ^ 1 is its reverse; out[x][0] is the
+    # split arc at x.  A forward arc has no upper bound (m exceeds any flow
+    # cancelled); a reverse arc holds the arc's flow above its lower bound.
+    head, out = [], []
     for v in range(m):
         head += (2 * v + 1, 2 * v)
-    ups = [[] for _ in range(m)]
-    downs = [[] for _ in range(m)]
+        out += ([2 * v], [2 * v + 1])
     for u, kids in enumerate(children):
         for w in kids:
-            ups[u].append(len(head))
-            downs[w].append(len(head))
+            out[2 * u + 1].append(len(head))
+            out[2 * w].append(len(head) + 1)
             head += (2 * w, 2 * u + 1)
     cap = [m, 0] * (len(head) // 2)
 
@@ -165,24 +167,20 @@ def max_antichain(interval: GradedInterval) -> int:
             continue
         through[v] = 1
         x = v
-        while x:  # down to the bottom, index 0
-            a = downs[x][0]
-            cap[a ^ 1] += 1
-            x = head[a ^ 1] >> 1
+        while x:  # down to the bottom, index 0, by the first lower cover
+            r = out[2 * x][1]
+            cap[r] += 1
+            x = head[r] >> 1
             through[x] += 1
         x = v
-        while x != m - 1:  # up to the top, the last index
-            a = next((a for a in ups[x] if not through[head[a] >> 1]), ups[x][0])
+        while x != m - 1:  # up to the top, the last index, by an unvisited child if any
+            arcs = out[2 * x + 1]
+            a = next((a for a in arcs[1:] if not through[head[a] >> 1]), arcs[1])
             cap[a ^ 1] += 1
             x = head[a] >> 1
             through[x] += 1
-    for v in range(m):
-        cap[2 * v + 1] = through[v] - 1
+    cap[1 : 2 * m : 2] = [t - 1 for t in through]
 
-    out = [None] * (2 * m)
-    for v in range(m):
-        out[2 * v] = [2 * v] + [a ^ 1 for a in downs[v]]
-        out[2 * v + 1] = [2 * v + 1] + ups[v]
     source, sink = 2 * m - 1, 0  # cancel flow from the top's out-node to the bottom's in-node
     cancelled = 0
     while True:
