@@ -92,8 +92,9 @@ def _check_against_oracles(oracle, g, h, max_size=None):
     assert all(oracle.distance(g, x) + oracle.distance(x, h) == d for x in members)
     up = _up_sets_from_distances(oracle, g, members)
     assert max_antichain(interval) == _width_by_matching(up)
-    assert is_lattice(interval) == _all_pairs_have_joins(up)
-    return is_lattice(interval)
+    lattice = is_lattice(interval)
+    assert lattice == _all_pairs_have_joins(up)
+    return lattice
 
 
 def test_width_and_lattice_on_every_interval_from_e():
