@@ -79,6 +79,12 @@ CASES = [
     ["interval", "--model", "sym-circular:7", "e", "(1,3,4,6)(5,7)", "--stats"],
     ["interval", "--model", "sym-custom:6:(1,2,3,4,5,6);(1,2)", "e", "(1,3,5)", "--stats"],
     ["interval", "--model", "z2", "(0,0)", "(12,7)", "--stats", "--format", "json"],
+    ["census", "--model", "sym-circular:7", "--figure", "6"],
+    ["census", "--model", "sym-adjacent:7", "--figure", "6"],
+    ["census", "--model", "sym-custom:6:(1,2);(1,2,3,4,5,6)", "--figure", "6"],
+    ["census", "--figure", "6", "--workers", "2", "--model", "sym-circular:6"],
+    ["normaliser", "--model", "sym-adjacent:6", "--enumerate"],
+    ["normaliser", "--model", "sym-custom:6:(1,2);(1,2,3,4,5,6)", "--enumerate"],
 ]
 
 
