@@ -83,11 +83,6 @@ class DistanceOracle:
         return _generator_tables(self.model)
 
     @cached_property
-    def inv_gen_tables(self) -> np.ndarray:
-        """inv_gen_tables[j][r] = rank(perm_r * s_j^-1), built on first use."""
-        return _inverse_tables(self.gen_tables)
-
-    @cached_property
     def perms(self) -> np.ndarray:
         """perms[r] = perm_r as a uint8 row, all n! of them, built on first use."""
         return all_perms_array(self.model.n)
@@ -110,34 +105,6 @@ class DistanceOracle:
 
     def unrank(self, r: int):
         return perm_unrank(r, self.model.n)
-
-    def parents(self) -> np.ndarray:
-        """Per-rank generator index of the BFS parent: the lowest j one step closer.
-
-        That is the BFS's own choice, since it sweeps generators in index order.
-        """
-        dist16 = self.lengths.astype(np.int16)
-        want = np.where(self.lengths == UNREACHED, -1, dist16 - 1)
-        parent = np.full(len(dist16), UNREACHED, dtype=np.uint8)
-        for j in range(len(self.inv_gen_tables) - 1, -1, -1):
-            parent[dist16[self.inv_gen_tables[j]] == want] = j
-        return parent
-
-    def word_ranks(self, r: int) -> list[int]:
-        """Generator indices of the geodesic word from the identity to rank r along parents()."""
-        lengths, inv = self.lengths, self.inv_gen_tables
-        if lengths[r] == UNREACHED:
-            raise UnreachableError(f"rank {r} not reachable in {self.model.name}")
-        letters = []
-        while r != 0:
-            closer = lengths[r] - 1
-            j = 0
-            while lengths[inv[j, r]] != closer:
-                j += 1
-            letters.append(j)
-            r = int(inv[j, r])
-        letters.reverse()
-        return letters
 
     # -- distances -----------------------------------------------------------
 
@@ -317,48 +284,44 @@ def build_oracle(model: GroupModel, strategy: str | None = None, cache_dir=None)
     return DistanceOracle(model, strategy, cache_dir)
 
 
-def _generator_tables(model: SymmetricModel) -> np.ndarray:
-    """Rank-indexed right multiplication: tables[j][r] = rank(perm_r * s_j).
+def _generator_tables(model: SymmetricModel, perms=None) -> np.ndarray:
+    """Rank-indexed right multiplication: tables[j][r] = rank(perm_r * perms[j]).
 
-    Built from the block structure of rank order, with no permutation ranked.
-    Block v of S_k (ranks v*(k-1)! onward) is v followed by the other values
-    arranged as S_(k-1) in rank order.  Relabelling the values by s sends
-    block v to block s(v), where it acts on S_(k-1) as the compressed
-    permutation s_v(i) = s(rest_v[i]) - [s(rest_v[i]) > s(v)], so
+    perms defaults to the generators; any batch of permutations of the
+    model's n points works.  Built from the block structure of rank order,
+    with no permutation ranked.  Block v of S_k (ranks v*(k-1)! onward) is v
+    followed by the other values arranged as S_(k-1) in rank order.
+    Relabelling the values by s sends block v to block s(v), where it acts on
+    S_(k-1) as the compressed permutation
+    s_v(i) = s(rest_v[i]) - [s(rest_v[i]) > s(v)], so
 
         table_k(s) = concat over v of (s(v) * (k-1)! + table_(k-1)(s_v)).
 
-    The distinct s_v are collected level by level from n down to 1, then the
-    tables are filled from S_1 up.
+    The distinct s_v are collected level by level from n down to 1 (np.unique
+    over their images read as base-(k-1) numbers), then the tables are filled
+    from S_1 up.
     """
-    perms = list(model.generating_set.generators)
+    if perms is None:
+        perms = model.generating_set.generators
+    perms = np.asarray(perms, dtype=np.uint8)
     levels = []  # per k from n down to 2: (the S_k perms, index of each s_v one level down)
     for k in range(model.n, 1, -1):
-        below: dict = {}
-        children = np.empty((len(perms), k), dtype=np.intp)
-        for i, s in enumerate(perms):
-            for v, sv in enumerate(s):
-                s_v = tuple(w - (w > sv) for w in s[:v] + s[v + 1 :])
-                children[i, v] = below.setdefault(s_v, len(below))
-        levels.append((perms, children))
-        perms = list(below)
+        m = len(perms)
+        cols = np.arange(k - 1)
+        rest = perms[:, cols + (cols >= np.arange(k)[:, None])]  # (m, k, k-1): row v drops position v
+        compressed = (rest - (rest > perms[:, :, None])).reshape(m * k, k - 1)
+        digits = (k - 1) ** np.arange(k - 1, dtype=np.int64)
+        _, first, below = np.unique(compressed @ digits, return_index=True, return_inverse=True)
+        levels.append((perms, below.reshape(m, k)))
+        perms = compressed[first]
     tables = np.zeros((len(perms), 1), dtype=np.int32)  # S_1: rank 0 to rank 0
     for perms, children in reversed(levels):
         m, k = children.shape
         block = tables.shape[1]
         out = np.take(tables, children, axis=0)  # (m, k, (k-1)!)
-        np.add(out, (np.array(perms, dtype=np.int32) * block)[:, :, None], out=out)
+        np.add(out, (perms.astype(np.int32) * block)[:, :, None], out=out)
         tables = out.reshape(m, k * block)
     return tables
-
-
-def _inverse_tables(gen_tables: np.ndarray) -> np.ndarray:
-    """The inverse permutation of each generator table."""
-    inv = np.empty_like(gen_tables)
-    idx = np.arange(gen_tables.shape[1], dtype=np.int32)
-    for j, table in enumerate(gen_tables):
-        inv[j][table] = idx
-    return inv
 
 
 def _bfs_table(gen_tables: np.ndarray) -> np.ndarray:

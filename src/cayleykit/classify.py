@@ -3,9 +3,9 @@
 Four equivalences are supported, keyed by the invariant of the interval from
 the identity to the element: word length, geodesic count, interval size, and
 interval isomorphism type.  They are genuinely different partitions, not a
-refinement chain.  Full-group censuses stream elements in Lehmer-rank order
-and keep only per-class counts plus one representative, so S_8 sweeps stay
-small in memory.
+refinement chain.  Full-group censuses keep per-class counts plus the
+lowest-rank representative; on symmetric models the size census counts one
+interval per orbit of the normaliser of the generating set.
 """
 
 from __future__ import annotations
@@ -15,13 +15,16 @@ from itertools import accumulate
 
 import numpy as np
 
-from .cayley import UNREACHED, DistanceOracle, build_oracle
+from .cayley import UNREACHED, DistanceOracle, _generator_tables, build_oracle
 from .errors import CapabilityError, ModelError
-from .groups import GroupModel, SymmetricModel, parse_model
+from .groups import GroupModel, SymmetricModel
 from .intervals import GradedInterval, build_interval, count_geodesics, order_isomorphic
+from .ranking import all_perms_array, rank_rows
 
 RELATIONS = ("length", "paths", "size", "iso")
 DEFAULT_ISO_CAP = 100_000
+# the size census builds right-multiplication tables for this many entries at a time
+_TABLE_ENTRIES = 1 << 19
 
 
 @dataclass
@@ -124,73 +127,53 @@ class CensusResult:
             yield f"{sig},{self.counts[sig]},{self.representatives[sig]}"
 
 
-def _interval_size_vector(oracle: DistanceOracle) -> np.ndarray:
-    """|[e, g]| for every rank, via one membership count per group element.
+def _normaliser_ranks(model: SymmetricModel, perms: np.ndarray) -> np.ndarray:
+    """Ranks of N(S), the sigma with sigma^-1 s sigma in S for every generator s.
 
-    Membership x in [e, g] is equivalent to l(x) + l(x^-1 g) = l(g).  The map
-    M_g[r] = rank(perm_r^-1 * g) composes one generator table per cover step,
-    M_{g*s} = T_s[M_g], so a depth-first walk of the BFS tree costs one table
-    gather per group element.
+    perms holds all of S_n in rank order.  Conjugation is injective, so S
+    maps into itself exactly when it maps onto itself, as in_normaliser asks.
     """
-    lengths = oracle.lengths
-    parent_gen = oracle.parents()
-    tables = oracle.gen_tables
-    nf = lengths.shape[0]
+    gens = np.array(model.generating_set.generators, dtype=np.uint8)
+    gen_ranks = rank_rows(gens)
+    ranks = np.arange(len(perms))
+    for s in gens:
+        sigma = perms[ranks]
+        conj = np.take_along_axis(sigma, s[np.argsort(sigma, axis=1)], axis=1)
+        ranks = ranks[np.isin(rank_rows(conj), gen_ranks)]
+    return ranks
+
+
+def _interval_sizes(oracle: DistanceOracle) -> np.ndarray:
+    """|[e, g]| for every rank (-1 where unreached), one membership count per orbit.
+
+    For pi in N(S), x -> pi^-1 x pi is a graph automorphism fixing e, so
+    [e, g] and [e, pi^-1 g pi] are order-isomorphic; for an inverse-closed S,
+    x -> g^-1 x also maps [e, g] onto [e, g^-1] reversed.  Each orbit is
+    represented by its lowest rank g, whose interval is counted as
+    |[e, g]| = #{y : l(y^-1) + l(y g) = l(g)}, reading l(y g) from the right
+    multiplication table of g.  Tables are built for batches of
+    representatives of at most _TABLE_ENTRIES entries in all.
+    """
+    model, perms, lengths = oracle.model, oracle.perms, oracle.lengths
+    ranks = np.arange(len(lengths))
+    orbit_min = ranks.copy()
+    for pi in perms[_normaliser_ranks(model, perms)]:
+        conj = rank_rows(pi[perms[:, np.argsort(pi)]])  # rank(pi^-1 perm_r pi)
+        np.minimum(orbit_min, conj, out=orbit_min)
+        if model.generating_set.inverse_closed:
+            np.minimum(orbit_min, conj[oracle.inverse_ranks], out=orbit_min)
+    reps = np.flatnonzero((orbit_min == ranks) & (lengths != UNREACHED))
+
     dist16 = lengths.astype(np.int16)
-
-    ranks = np.arange(nf, dtype=np.int64)
-    parent = np.full(nf, -1, dtype=np.int64)
-    for j in range(len(tables)):
-        mask = parent_gen == j
-        parent[mask] = oracle.inv_gen_tables[j][ranks[mask]]
-    children: list = [[] for _ in range(nf)]
-    for r in range(nf):
-        p = parent[r]
-        if p >= 0:
-            children[p].append(r)
-
-    sizes = np.zeros(nf, dtype=np.int64)
-    # depth-first over the BFS tree; each entry carries its parent's M, so
-    # only the arrays on the current root-to-leaf path stay alive
-    stack = [(0, oracle.inverse_ranks)]
-    while stack:
-        r, m_arr = stack.pop()
-        if r:
-            m_arr = tables[parent_gen[r]][m_arr]
-        sizes[r] = int(np.count_nonzero(dist16 + dist16[m_arr] == int(lengths[r])))
-        stack.extend((c, m_arr) for c in children[r])
-    sizes[lengths == UNREACHED] = -1
-    return sizes
-
-
-_WORKER_STATE: dict = {}
-
-
-def _census_worker_init(descriptor: str):
-    model = parse_model(descriptor)
-    _WORKER_STATE["oracle"] = DistanceOracle(model, "table")
-
-
-def _census_worker_chunk(bounds):
-    start, stop = bounds
-    oracle = _WORKER_STATE["oracle"]
-    lengths = oracle.lengths
-    tables = oracle.gen_tables
-    dist16 = lengths.astype(np.int16)
-    out = {}
-    for r in range(start, stop):
-        if lengths[r] == UNREACHED:
-            continue
-        m_arr = oracle.inverse_ranks.astype(np.int32)
-        for j in oracle.word_ranks(r):
-            m_arr = tables[j][m_arr]
-        size = int(np.count_nonzero(dist16 + dist16[m_arr] == int(lengths[r])))
-        entry = out.get(size)
-        if entry is None:
-            out[size] = [1, r]
-        else:
-            entry[0] += 1
-    return out
+    dist_inv = dist16[oracle.inverse_ranks]
+    sizes = np.full(len(lengths), -1, dtype=np.int64)
+    batch = max(1, _TABLE_ENTRIES // len(lengths))
+    for start in range(0, len(reps), batch):
+        chunk = reps[start : start + batch]
+        sums = np.take(dist16, _generator_tables(model, perms[chunk]))  # l(y g); take skips an intp copy
+        sums += dist_inv
+        sizes[chunk] = np.count_nonzero(sums == dist16[chunk, None], axis=1)
+    return sizes[orbit_min]
 
 
 def _histogram(oracle: DistanceOracle, relation: str, values, unreached) -> CensusResult:
@@ -206,7 +189,11 @@ def _histogram(oracle: DistanceOracle, relation: str, values, unreached) -> Cens
 
 
 def census(model: GroupModel, relation: str, workers: int = 1) -> CensusResult:
-    """Histogram of length or interval size over the whole group."""
+    """Histogram of length or interval size over the whole group.
+
+    workers is accepted and ignored: a symmetric model's size census is one
+    orbit sweep in this process.
+    """
     if relation not in ("length", "size"):
         raise ModelError(f"census supports length or size, not {relation!r}")
     if not model.is_finite:
@@ -216,35 +203,9 @@ def census(model: GroupModel, relation: str, workers: int = 1) -> CensusResult:
         if model.n > 9:
             raise CapabilityError(f"census needs a full table; {model.name} is too large")
         oracle = DistanceOracle(model, "table")
-        lengths = oracle.lengths
-        fmt = model.format_element
         if relation == "length":
-            return _histogram(oracle, relation, lengths, UNREACHED)
-        if workers > 1:
-            # imported here: it loads multiprocessing, which every CLI start would pay for
-            from concurrent.futures import ProcessPoolExecutor
-
-            nf = len(lengths)
-            step = max(1, nf // (workers * 8))
-            bounds = [(a, min(a + step, nf)) for a in range(0, nf, step)]
-            merged: dict = {}
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_census_worker_init,
-                initargs=(model.name,),
-            ) as pool:
-                for part in pool.map(_census_worker_chunk, bounds):
-                    for size, (cnt, rep) in part.items():
-                        entry = merged.get(size)
-                        if entry is None:
-                            merged[size] = [cnt, rep]
-                        else:
-                            entry[0] += cnt
-                            entry[1] = min(entry[1], rep)
-            counts = {s: c for s, (c, _) in merged.items()}
-            reps = {s: fmt(oracle.unrank(r)) for s, (_, r) in merged.items()}
-            return CensusResult(model.name, relation, counts, reps)
-        return _histogram(oracle, relation, _interval_size_vector(oracle), -1)
+            return _histogram(oracle, relation, oracle.lengths, UNREACHED)
+        return _histogram(oracle, relation, _interval_sizes(oracle), -1)
 
     # small generic models: walk every element honestly
     oracle = build_oracle(model)
@@ -289,10 +250,12 @@ def normaliser(model: GroupModel, mode: str = "enumerate") -> NormaliserResult:
         raise ModelError(f"unknown normaliser mode {mode!r}")
     if not model.is_finite:
         raise CapabilityError(f"cannot enumerate the normaliser of {model.name}")
-    if isinstance(model, SymmetricModel) and model.n > 8:
+    if not isinstance(model, SymmetricModel):
+        return NormaliserResult(model.name, [g for g in model.elements() if in_normaliser(model, g)])
+    if model.n > 8:
         raise CapabilityError(f"normaliser enumeration supports n <= 8, got n={model.n}")
-    members = [g for g in model.elements() if in_normaliser(model, g)]
-    return NormaliserResult(model.name, members)
+    perms = all_perms_array(model.n)
+    return NormaliserResult(model.name, list(map(tuple, perms[_normaliser_ranks(model, perms)].tolist())))
 
 
 def theorem1_check(oracle: DistanceOracle, g, pi) -> bool:

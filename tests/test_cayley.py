@@ -256,21 +256,6 @@ def test_diameter_needs_a_table_or_formula():
     )
 
 
-def test_word_ranks_are_geodesic_words():
-    model = circular_model(5)
-    oracle = DistanceOracle(model, "table")
-    rng = random.Random(11)
-    gens = model.generating_set.generators
-    for _ in range(25):
-        r = rng.randrange(120)
-        word = oracle.word_ranks(r)
-        assert len(word) == int(oracle.lengths[r])
-        acc = model.identity
-        for j in word:
-            acc = model.multiply(acc, gens[j])
-        assert oracle.rank(acc) == r
-
-
 def test_cache_round_trip(tmp_path):
     model = circular_model(5)
     fresh = DistanceOracle(model, "table")
@@ -281,9 +266,6 @@ def test_cache_round_trip(tmp_path):
 
     loaded = DistanceOracle(model, "table", cache_dir=tmp_path)
     assert loaded.lengths.tolist() == fresh.lengths.tolist()
-    # parents derive from the loaded lengths
-    word = loaded.word_ranks(77)
-    assert len(word) == int(loaded.lengths[77])
 
 
 def test_cache_rejects_damage(tmp_path):
@@ -398,51 +380,6 @@ def test_bfs_table_is_dense_for_generating_sets():
     assert int(np.count_nonzero(oracle.lengths != UNREACHED)) == 720
 
 
-def _first_parent_words(model):
-    """Dict BFS, one level at a time and generator by generator over the level.
-
-    Each element keeps the first generator that reaches it, so its parent is
-    the lowest-index generator stepping from the previous level; the word of
-    an element follows those parents back to the identity.
-    """
-    gens = model.generating_set.generators
-    parent = {model.identity: None}
-    level = [model.identity]
-    while level:
-        nxt = []
-        for j, s in enumerate(gens):
-            for x in level:
-                y = model.multiply(x, s)
-                if y not in parent:
-                    parent[y] = (j, x)
-                    nxt.append(y)
-        level = nxt
-    words = {}
-    for g in parent:
-        word = []
-        x = g
-        while parent[x] is not None:
-            j, x = parent[x]
-            word.append(j)
-        words[g] = word[::-1]
-    return words
-
-
-def test_word_ranks_of_a_cache_loaded_oracle_match_first_parent_bfs(tmp_path):
-    model = circular_model(6)
-    fresh = DistanceOracle(model, "table")
-    save_table_cache(model, fresh.lengths, cache_path(model, tmp_path))
-    loaded = DistanceOracle(model, "table", cache_dir=tmp_path)
-    reference = _first_parent_words(model)
-    assert len(reference) == 720
-    parents = loaded.parents()
-    for g, word in reference.items():
-        r = fresh.rank(g)
-        assert fresh.word_ranks(r) == word
-        assert loaded.word_ranks(r) == word
-        assert int(parents[r]) == (word[-1] if word else UNREACHED)
-
-
 def test_cache_loaded_oracle_answers_without_ranking_tables(tmp_path, monkeypatch):
     model = circular_model(6)
     fresh = DistanceOracle(model, "table")
@@ -501,6 +438,20 @@ def test_generator_tables_match_products_at_s8():
         custom_model(8, ["(1,2,3,4,5,6,7,8)", "(1,2)"]),
     ):
         _assert_tables_are_right_products(model)
+
+
+def test_generator_tables_of_arbitrary_batches_match_ranked_products():
+    rng = random.Random(77)
+    for n in (5, 6, 7):
+        model = circular_model(n)
+        perms = ranking.all_perms_array(n)
+        for size in (1, 3, 17):
+            batch = [tuple(range(n))] + [tuple(rng.sample(range(n), n)) for _ in range(size)]
+            tables = cayley._generator_tables(model, batch)
+            assert tables.shape == (len(batch), factorial(n))
+            for j, g in enumerate(batch):
+                want = ranking.rank_rows(np.array(g, dtype=np.uint8)[perms])
+                assert tables[j].tolist() == want.tolist(), (n, g)
 
 
 def _dict_bfs_by_rank(model):

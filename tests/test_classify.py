@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+import importlib
 import random
 
 import pytest
@@ -9,6 +11,8 @@ import pytest
 from cayleykit import (
     CapabilityError,
     ModelError,
+    UnreachableError,
+    adjacent_model,
     build_interval,
     build_oracle,
     census,
@@ -21,8 +25,10 @@ from cayleykit import (
     theorem1_check,
     z2_model,
 )
-from cayleykit.cayley import DistanceOracle
+from cayleykit.cayley import DistanceOracle, _generator_tables
 from cayleykit.ranking import perm_unrank
+
+classify_module = importlib.import_module("cayleykit.classify")  # the package exports classify()
 
 
 def _oracle(model):
@@ -92,16 +98,60 @@ def test_census_length_matches_classify():
     assert result.representatives[0] == "e"
 
 
+# circular and adjacent sets, a directed set whose normaliser is trivial, and
+# a set that generates a subgroup of order 6 only
+CENSUS_MODELS = (
+    circular_model(5),
+    circular_model(6),
+    adjacent_model(6),
+    custom_model(6, ["(1,2)", "(1,2,3,4,5,6)"]),
+    custom_model(6, ["(1,2,3)", "(1,3,2)", "(4,5)"], require_generating=False),
+)
+
+
 def test_census_size_matches_interval_construction():
-    model = circular_model(5)
-    oracle = _oracle(model)
+    for model in CENSUS_MODELS:
+        oracle = _oracle(model)
+        counts: dict = {}
+        reps: dict = {}
+        for g in model.elements():  # rank order, so the first of each size is its lowest rank
+            try:
+                size = build_interval(oracle, model.identity, g).size
+            except UnreachableError:
+                continue
+            counts[size] = counts.get(size, 0) + 1
+            reps.setdefault(size, model.format_element(g))
+        result = census(model, "size")
+        assert result.counts == counts, model.name
+        assert result.representatives == reps, model.name
+
+
+def test_normaliser_vector_matches_the_membership_predicate():
+    mixed = custom_model(7, ["(1,2)", "(2,3)", "(3,4)", "(4,5)", "(5,6)", "(6,7)", "(7,1)",
+                             "(1,3)", "(3,5)", "(5,7)", "(7,2)", "(2,4)", "(4,6)", "(6,1)"])
+    for model in (*CENSUS_MODELS, mixed):
+        want = [g for g in model.elements() if in_normaliser(model, g)]
+        assert normaliser(model).members == want, model.name
+    assert len(want) == 14
+
+
+def test_size_census_counts_one_interval_per_orbit(monkeypatch):
+    counted = []
+
+    def tables(model, perms=None):
+        counted.extend(map(tuple, perms.tolist()))
+        return _generator_tables(model, perms)
+
+    monkeypatch.setattr(classify_module, "_generator_tables", tables)
+    model = circular_model(7)
     result = census(model, "size")
-    assert result.total == 120
-    seen: dict = {}
-    for g in model.elements():
-        seen.setdefault(build_interval(oracle, model.identity, g).size, 0)
-        seen[build_interval(oracle, model.identity, g).size] += 1
-    assert result.counts == seen
+    assert result.total == 5040
+    assert len(counted) == len(set(counted)) == 260
+    # each counted element is the lowest rank of its orbit under N(S) and inversion
+    members = normaliser(model).members
+    for g in counted:
+        orbit = {model.conjugate(h, pi) for pi in members for h in (g, model.inverse(g))}
+        assert min(orbit) == g
 
 
 def test_census_unranks_one_representative_per_class(monkeypatch):
@@ -123,7 +173,12 @@ def test_census_unranks_one_representative_per_class(monkeypatch):
             assert all(type(k) is int and type(c) is int for k, c in result.counts.items())
 
 
-def test_census_worker_pool_agrees_with_single_core():
+def test_census_worker_pool_agrees_with_single_core(monkeypatch):
+    # workers is accepted and ignored: no process pool is started
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     model = circular_model(5)
     solo = census(model, "size", workers=1)
     pooled = census(model, "size", workers=2)
@@ -167,8 +222,6 @@ def test_normaliser_members_rotate_or_reflect():
 
 
 def test_adjacent_set_normaliser_is_tiny():
-    from cayleykit import adjacent_model
-
     result = normaliser(adjacent_model(5))
     assert result.order == 2  # identity and the order-reversing relabeling
 
