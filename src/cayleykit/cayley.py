@@ -308,7 +308,8 @@ def _generator_tables(model: SymmetricModel, perms=None) -> np.ndarray:
     for k in range(model.n, 1, -1):
         m = len(perms)
         cols = np.arange(k - 1)
-        rest = perms[:, cols + (cols >= np.arange(k)[:, None])]  # (m, k, k-1): row v drops position v
+        # rest[i, v] is perms[i] without position v: (m, k, k-1)
+        rest = perms[:, cols + (cols >= np.arange(k)[:, None])]
         compressed = (rest - (rest > perms[:, :, None])).reshape(m * k, k - 1)
         digits = (k - 1) ** np.arange(k - 1, dtype=np.int64)
         _, first, below = np.unique(compressed @ digits, return_index=True, return_inverse=True)

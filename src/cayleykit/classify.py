@@ -127,19 +127,19 @@ class CensusResult:
             yield f"{sig},{self.counts[sig]},{self.representatives[sig]}"
 
 
-def _normaliser_ranks(model: SymmetricModel, perms: np.ndarray) -> np.ndarray:
-    """Ranks of N(S), the sigma with sigma^-1 s sigma in S for every generator s.
+def _conjugating_ranks(perms: np.ndarray, gens, targets) -> np.ndarray:
+    """Ranks of the sigma with sigma^-1 s sigma in targets for every s in gens.
 
-    perms holds all of S_n in rank order.  Conjugation is injective, so S
-    maps into itself exactly when it maps onto itself, as in_normaliser asks.
+    perms holds all of S_n in rank order.  Conjugation is injective, so when
+    gens and targets have the same size, sigma maps gens onto targets; with
+    targets = gens this is the normaliser N(S), as in_normaliser asks.
     """
-    gens = np.array(model.generating_set.generators, dtype=np.uint8)
-    gen_ranks = rank_rows(gens)
+    target_ranks = rank_rows(np.array(targets, dtype=np.uint8))
     ranks = np.arange(len(perms))
-    for s in gens:
+    for s in np.array(gens, dtype=np.uint8):
         sigma = perms[ranks]
         conj = np.take_along_axis(sigma, s[np.argsort(sigma, axis=1)], axis=1)
-        ranks = ranks[np.isin(rank_rows(conj), gen_ranks)]
+        ranks = ranks[np.isin(rank_rows(conj), target_ranks)]
     return ranks
 
 
@@ -147,21 +147,24 @@ def _interval_sizes(oracle: DistanceOracle) -> np.ndarray:
     """|[e, g]| for every rank (-1 where unreached), one membership count per orbit.
 
     For pi in N(S), x -> pi^-1 x pi is a graph automorphism fixing e, so
-    [e, g] and [e, pi^-1 g pi] are order-isomorphic; for an inverse-closed S,
-    x -> g^-1 x also maps [e, g] onto [e, g^-1] reversed.  Each orbit is
-    represented by its lowest rank g, whose interval is counted as
+    [e, g] and [e, pi^-1 g pi] are order-isomorphic.  For pi with
+    pi^-1 S^-1 pi = S, a geodesic word s_1 ... s_k for g gives the word
+    (pi^-1 s_k^-1 pi) ... (pi^-1 s_1^-1 pi) for pi^-1 g^-1 pi, so
+    x -> pi^-1 g^-1 x pi maps [e, g] onto [e, pi^-1 g^-1 pi] with the order
+    reversed; when S is inverse-closed those pi are N(S) itself.  Each orbit
+    is represented by its lowest rank g, whose interval is counted as
     |[e, g]| = #{y : l(y^-1) + l(y g) = l(g)}, reading l(y g) from the right
     multiplication table of g.  Tables are built for batches of
     representatives of at most _TABLE_ENTRIES entries in all.
     """
     model, perms, lengths = oracle.model, oracle.perms, oracle.lengths
+    gens = model.generating_set.generators
     ranks = np.arange(len(lengths))
     orbit_min = ranks.copy()
-    for pi in perms[_normaliser_ranks(model, perms)]:
-        conj = rank_rows(pi[perms[:, np.argsort(pi)]])  # rank(pi^-1 perm_r pi)
-        np.minimum(orbit_min, conj, out=orbit_min)
-        if model.generating_set.inverse_closed:
-            np.minimum(orbit_min, conj[oracle.inverse_ranks], out=orbit_min)
+    for source, inverted in ((gens, False), ([model.inverse(s) for s in gens], True)):
+        for pi in perms[_conjugating_ranks(perms, source, gens)]:
+            conj = rank_rows(pi[perms[:, np.argsort(pi)]])  # rank(pi^-1 perm_r pi)
+            np.minimum(orbit_min, conj[oracle.inverse_ranks] if inverted else conj, out=orbit_min)
     reps = np.flatnonzero((orbit_min == ranks) & (lengths != UNREACHED))
 
     dist16 = lengths.astype(np.int16)
@@ -170,7 +173,8 @@ def _interval_sizes(oracle: DistanceOracle) -> np.ndarray:
     batch = max(1, _TABLE_ENTRIES // len(lengths))
     for start in range(0, len(reps), batch):
         chunk = reps[start : start + batch]
-        sums = np.take(dist16, _generator_tables(model, perms[chunk]))  # l(y g); take skips an intp copy
+        # l(y g) for every y; np.take reads the int32 table without an intp copy
+        sums = np.take(dist16, _generator_tables(model, perms[chunk]))
         sums += dist_inv
         sizes[chunk] = np.count_nonzero(sums == dist16[chunk, None], axis=1)
     return sizes[orbit_min]
@@ -250,12 +254,15 @@ def normaliser(model: GroupModel, mode: str = "enumerate") -> NormaliserResult:
         raise ModelError(f"unknown normaliser mode {mode!r}")
     if not model.is_finite:
         raise CapabilityError(f"cannot enumerate the normaliser of {model.name}")
-    if not isinstance(model, SymmetricModel):
-        return NormaliserResult(model.name, [g for g in model.elements() if in_normaliser(model, g)])
-    if model.n > 8:
-        raise CapabilityError(f"normaliser enumeration supports n <= 8, got n={model.n}")
-    perms = all_perms_array(model.n)
-    return NormaliserResult(model.name, list(map(tuple, perms[_normaliser_ranks(model, perms)].tolist())))
+    if isinstance(model, SymmetricModel):
+        if model.n > 8:
+            raise CapabilityError(f"normaliser enumeration supports n <= 8, got n={model.n}")
+        perms = all_perms_array(model.n)
+        gens = model.generating_set.generators
+        members = list(map(tuple, perms[_conjugating_ranks(perms, gens, gens)].tolist()))
+    else:
+        members = [g for g in model.elements() if in_normaliser(model, g)]
+    return NormaliserResult(model.name, members)
 
 
 def theorem1_check(oracle: DistanceOracle, g, pi) -> bool:

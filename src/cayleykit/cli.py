@@ -448,7 +448,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=(5, 6),
         help="preset sweep: 5 = length histogram, 6 = interval-size histogram",
     )
-    p.add_argument("--workers", type=int, default=1, help="accepted and ignored; the sweep runs in one process")
+    p.add_argument(
+        "--workers", type=int, default=1, help="accepted and ignored; the sweep runs in one process"
+    )
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(handler=cmd_census)
 

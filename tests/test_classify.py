@@ -124,15 +124,9 @@ def test_census_size_matches_interval_construction():
         result = census(model, "size")
         assert result.counts == counts, model.name
         assert result.representatives == reps, model.name
-
-
-def test_normaliser_vector_matches_the_membership_predicate():
-    mixed = custom_model(7, ["(1,2)", "(2,3)", "(3,4)", "(4,5)", "(5,6)", "(6,7)", "(7,1)",
-                             "(1,3)", "(3,5)", "(5,7)", "(7,2)", "(2,4)", "(4,6)", "(6,1)"])
-    for model in (*CENSUS_MODELS, mixed):
+        # the census's orbits come from the vector normaliser
         want = [g for g in model.elements() if in_normaliser(model, g)]
         assert normaliser(model).members == want, model.name
-    assert len(want) == 14
 
 
 def test_size_census_counts_one_interval_per_orbit(monkeypatch):
@@ -143,15 +137,22 @@ def test_size_census_counts_one_interval_per_orbit(monkeypatch):
         return _generator_tables(model, perms)
 
     monkeypatch.setattr(classify_module, "_generator_tables", tables)
-    model = circular_model(7)
-    result = census(model, "size")
-    assert result.total == 5040
-    assert len(counted) == len(set(counted)) == 260
-    # each counted element is the lowest rank of its orbit under N(S) and inversion
-    members = normaliser(model).members
-    for g in counted:
-        orbit = {model.conjugate(h, pi) for pi in members for h in (g, model.inverse(g))}
-        assert min(orbit) == g
+    # the directed set has a trivial normaliser, but (1,2)(3,6)(4,5) conjugates S^-1 onto S
+    for model, orbits in ((circular_model(7), 260), (CENSUS_MODELS[3], 398)):
+        counted.clear()
+        assert census(model, "size").total == model.order
+        gens = set(model.generating_set.generators)
+        keep = [p for p in model.elements() if {model.conjugate(s, p) for s in gens} == gens]
+        flip = [p for p in model.elements()
+                if {model.conjugate(model.inverse(s), p) for s in gens} == gens]
+
+        def orbit(g):
+            inv = model.inverse(g)
+            return {model.conjugate(g, p) for p in keep} | {model.conjugate(inv, p) for p in flip}
+
+        # one count per orbit, made by the orbit's lowest element
+        assert len(counted) == len({min(orbit(g)) for g in model.elements()}) == orbits
+        assert all(min(orbit(g)) == g for g in counted)
 
 
 def test_census_unranks_one_representative_per_class(monkeypatch):
@@ -232,6 +233,7 @@ def test_mixed_seven_point_set_has_dihedral_normaliser():
     model = custom_model(7, gens)
     result = normaliser(model)
     assert result.order == 14
+    assert result.members == [g for g in model.elements() if in_normaliser(model, g)]
 
 
 def test_normaliser_modes_and_limits():
