@@ -85,6 +85,14 @@ CASES = [
     ["census", "--figure", "6", "--workers", "2", "--model", "sym-circular:6"],
     ["normaliser", "--model", "sym-adjacent:6", "--enumerate"],
     ["normaliser", "--model", "sym-custom:6:(1,2);(1,2,3,4,5,6)", "--enumerate"],
+    ["classify", "--model", "sym-circular:6", "--relation", "iso", "--all"],
+    ["classify", "--model", "sym-custom:5:(1,2);(1,2,3,4,5)", "--relation", "iso", "--all"],
+    ["classify", "--model", "sym-circular:5", "--relation", "iso", "--all", "--iso-cap", "6"],
+    ["census", "--model", "cyclic:9", "--figure", "6"],
+    ["census", "--model", "cyclic:7:semigroup", "--relation", "length", "--format", "json"],
+    ["classify", "--model", "cyclic:8:semigroup", "--relation", "paths", "--all"],
+    ["geodesics", "--model", "sym-circular:6", "--strategy", "bidirectional", "e",
+     "(1,4)(2,5)(3,6)"],
 ]
 
 
