@@ -28,7 +28,8 @@ from .groups import (
     GroupModel,
     SymmetricModel,
 )
-from .ranking import all_perms_array, perm_rank, perm_unrank, rank_rows
+from .intervals import build_interval, count_geodesics
+from .ranking import all_perms_array, perm_rank, rank_rows
 
 UNREACHED = 255
 DEFAULT_WORD_CAP = 1_000_000
@@ -62,8 +63,7 @@ class DistanceOracle:
 
     def __init__(self, model: GroupModel, strategy: str | None = None, cache_dir=None):
         self.model = model
-        self.strategy = strategy or _default_strategy(model)
-        _check_strategy(model, self.strategy)
+        self.strategy = _strategy(model, strategy)
         if self.strategy == "table":
             self._init_table(cache_dir)
 
@@ -100,24 +100,10 @@ class DistanceOracle:
         g_inv = np.array(self.model.inverse(self.model.check_element(g)), dtype=np.intp)
         return self.lengths[rank_rows(self.perms[:, g_inv])].astype(np.int16)
 
-    def rank(self, g) -> int:
-        return perm_rank(g)
-
-    def unrank(self, r: int):
-        return perm_unrank(r, self.model.n)
-
     # -- distances -----------------------------------------------------------
 
     def length(self, g) -> int:
-        model = self.model
-        if self.strategy == "table":
-            d = int(self.lengths[perm_rank(model.check_element(g))])
-            if d == UNREACHED:
-                raise UnreachableError(
-                    f"{model.format_element(g)} not reachable in {model.name}"
-                )
-            return d
-        return self.distance(model.identity, g)
+        return self.distance(self.model.identity, self.model.check_element(g))
 
     def distance(self, g, h) -> int:
         model = self.model
@@ -183,16 +169,14 @@ class DistanceOracle:
         """All geodesic words from g to h; count stays exact when words are capped.
 
         Z^2 counts are closed-form, C(|dx|+|dy|, |dx|); other models count paths
-        over the grade_walk steps, holding one count per interval element.
+        over the cover edges of the built interval [g, h].
         """
-        model = self.model
-        total = self.distance(g, h)
-        if isinstance(model, FreeAbelianModel):
+        if isinstance(self.model, FreeAbelianModel):
+            total = self.distance(g, h)
             count = comb(total, abs(h[0] - g[0]))
         else:
-            gens = model.generating_set.generators
-            walk = grade_walk(model, g, gens, lambda y: self.distance(y, h), total)
-            count = path_counts(g, (step for steps, _ in walk for step in steps))[h]
+            interval = build_interval(self, g, h)
+            total, count = interval.length, count_geodesics(interval)
         words = ()
         if enumerate_words:
             words = tuple(islice(self._geodesic_words(g, h, total), max(cap, 0)))
@@ -220,64 +204,26 @@ class DistanceOracle:
                 stack.append((y, 0))
 
 
-def grade_walk(model: GroupModel, start, gens, dist_to_end, n: int):
-    """Grades 1..n of the n-step geodesics from start to the element dist_to_end measures.
-
-    Yields (steps, grade) per grade i: grade lists each y = x*s (x in grade
-    i-1, s in gens) with dist_to_end(y) == n - i in first-discovered order
-    (parent order, then generator index), and steps holds the cover steps
-    (x, j, y) in the same order.  dist_to_end is not called for an element
-    already in the grade.
-    """
-    grade = [start]
-    for i in range(1, n + 1):
-        steps = []
-        nxt: dict = {}
-        for x in grade:
-            for j, s in enumerate(gens):
-                y = model.multiply(x, s)
-                if y in nxt or dist_to_end(y) == n - i:
-                    nxt[y] = None
-                    steps.append((x, j, y))
-        grade = list(nxt)
-        yield steps, grade
+# which models each strategy serves; the default is the first that applies
+STRATEGIES = {
+    "analytic": lambda model: isinstance(model, (FreeAbelianModel, CyclicModel))
+    or (isinstance(model, SymmetricModel) and model.kind == "adjacent"),
+    "table": lambda model: isinstance(model, SymmetricModel) and model.n <= 9,
+    "bidirectional": lambda model: isinstance(model, SymmetricModel),
+}
 
 
-def path_counts(start, steps) -> dict:
-    """Paths from start to every element that the cover steps (x, j, y) reach.
-
-    steps must be listed grade by grade, as grade_walk yields them, so each
-    x is fully counted before a step leaves it.
-    """
-    counts = {start: 1}
-    for x, _, y in steps:
-        counts[y] = counts.get(y, 0) + counts[x]
-    return counts
-
-
-def _default_strategy(model: GroupModel) -> str:
-    if isinstance(model, (FreeAbelianModel, CyclicModel)):
-        return "analytic"
-    if isinstance(model, SymmetricModel):
-        if model.kind == "adjacent":
-            return "analytic"
-        if model.n <= 9:
-            return "table"
-        return "bidirectional"
-    raise ModelError(f"no strategy for {model!r}")
-
-
-def _check_strategy(model: GroupModel, strategy: str):
-    ok = {
-        "analytic": isinstance(model, (FreeAbelianModel, CyclicModel))
-        or (isinstance(model, SymmetricModel) and model.kind == "adjacent"),
-        "table": isinstance(model, SymmetricModel) and model.n <= 9,
-        "bidirectional": isinstance(model, SymmetricModel),
-    }.get(strategy)
-    if ok is None:
+def _strategy(model: GroupModel, strategy: str | None) -> str:
+    """The named strategy if it serves model, else the first that does."""
+    if not strategy:
+        strategy = next((name for name, fits in STRATEGIES.items() if fits(model)), None)
+        if strategy is None:
+            raise ModelError(f"no strategy for {model!r}")
+    elif strategy not in STRATEGIES:
         raise ModelError(f"unknown strategy {strategy!r}")
-    if not ok:
+    elif not STRATEGIES[strategy](model):
         raise CapabilityError(f"strategy {strategy!r} unsupported for {model.name}")
+    return strategy
 
 
 def build_oracle(model: GroupModel, strategy: str | None = None, cache_dir=None) -> DistanceOracle:

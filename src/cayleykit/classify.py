@@ -19,7 +19,7 @@ from .cayley import UNREACHED, DistanceOracle, _generator_tables, build_oracle
 from .errors import CapabilityError, ModelError
 from .groups import GroupModel, SymmetricModel
 from .intervals import GradedInterval, build_interval, count_geodesics, order_isomorphic
-from .ranking import all_perms_array, rank_rows
+from .ranking import all_perms_array, perm_unrank, rank_rows
 
 RELATIONS = ("length", "paths", "size", "iso")
 DEFAULT_ISO_CAP = 100_000
@@ -60,50 +60,39 @@ def classify(
     ident = model.identity
     elements = [model.check_element(g) for g in elements]
 
-    if relation == "iso":
-        buckets: dict = {}
-        unclassified = []
-        for g in elements:
+    grouped: dict = {}  # sort key -> (signature, members)
+    iso_reps: dict = {}  # iso profile -> one interval per isomorphism bucket
+    unclassified = []
+    for g in elements:
+        if relation == "length":
+            key = sig = oracle.length(g)
+        else:
             interval = build_interval(oracle, ident, g)
-            if interval.size > iso_size_cap:
+            if relation == "paths":
+                key = sig = count_geodesics(interval)
+            elif relation == "size":
+                key = sig = interval.size
+            elif interval.size > iso_size_cap:
                 unclassified.append(g)
                 continue
-            profile = _iso_profile(interval)
-            for rep_interval, members in buckets.setdefault(profile, []):
-                if order_isomorphic(interval, rep_interval):
-                    members.append(g)
-                    break
             else:
-                buckets[profile].append((interval, [g]))
-        classes = []
-        signatures = []
-        signature_of = {}
-        for profile in sorted(buckets, key=repr):
-            for rep_interval, members in buckets[profile]:
-                signature_of.update((g, len(classes)) for g in members)
-                signatures.append(profile)
-                classes.append(members)
-        return Classification(relation, classes, signatures, signature_of, unclassified)
-
-    def signature(g):
-        if relation == "length":
-            return oracle.length(g)
-        interval = build_interval(oracle, ident, g)
-        if relation == "paths":
-            return count_geodesics(interval)
-        return interval.size
-
-    grouped: dict = {}
-    for g in elements:
-        grouped.setdefault(signature(g), []).append(g)
+                sig = _iso_profile(interval)
+                reps = iso_reps.setdefault(sig, [])
+                k = next((k for k, rep in enumerate(reps) if order_isomorphic(interval, rep)), None)
+                if k is None:
+                    k = len(reps)
+                    reps.append(interval)
+                key = (repr(sig), k)
+        grouped.setdefault(key, (sig, []))[1].append(g)
     classes = []
     signatures = []
     signature_of = {}
-    for sig in sorted(grouped):
-        signature_of.update((g, len(classes)) for g in grouped[sig])
+    for key in sorted(grouped):
+        sig, members = grouped[key]
+        signature_of.update((g, len(classes)) for g in members)
         signatures.append(sig)
-        classes.append(grouped[sig])
-    return Classification(relation, classes, signatures, signature_of)
+        classes.append(members)
+    return Classification(relation, classes, signatures, signature_of, unclassified)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +177,7 @@ def _histogram(oracle: DistanceOracle, relation: str, values, unreached) -> Cens
     for key, r, count in zip(keys.tolist(), first.tolist(), counts.tolist()):
         if key != unreached:
             result.counts[key] = count
-            result.representatives[key] = fmt(oracle.unrank(r))
+            result.representatives[key] = fmt(perm_unrank(r, oracle.model.n))
     return result
 
 
@@ -211,17 +200,11 @@ def census(model: GroupModel, relation: str, workers: int = 1) -> CensusResult:
             return _histogram(oracle, relation, oracle.lengths, UNREACHED)
         return _histogram(oracle, relation, _interval_sizes(oracle), -1)
 
-    # small generic models: walk every element honestly
-    oracle = build_oracle(model)
-    counts = {}
-    reps = {}
-    for g in model.elements():
-        if relation == "length":
-            sig = oracle.length(g)
-        else:
-            sig = build_interval(oracle, model.identity, g).size
-        counts[sig] = counts.get(sig, 0) + 1
-        reps.setdefault(sig, model.format_element(g))
+    # small generic models: classify every element, in canonical order
+    result = classify(build_oracle(model), model.elements(), relation)
+    classes = dict(zip(result.signatures, result.classes))
+    counts = {sig: len(members) for sig, members in classes.items()}
+    reps = {sig: model.format_element(members[0]) for sig, members in classes.items()}
     return CensusResult(model.name, relation, counts, reps)
 
 
@@ -232,11 +215,11 @@ def census(model: GroupModel, relation: str, workers: int = 1) -> CensusResult:
 @dataclass
 class NormaliserResult:
     model_name: str
-    members: list | None
+    members: list
 
     @property
-    def order(self) -> int | None:
-        return None if self.members is None else len(self.members)
+    def order(self) -> int:
+        return len(self.members)
 
 
 def in_normaliser(model: GroupModel, sigma) -> bool:
@@ -246,12 +229,8 @@ def in_normaliser(model: GroupModel, sigma) -> bool:
     return {model.conjugate(s, sigma) for s in gens} == gens
 
 
-def normaliser(model: GroupModel, mode: str = "enumerate") -> NormaliserResult:
-    """Members of the generating set's normaliser (or a predicate-only result)."""
-    if mode == "predicate":
-        return NormaliserResult(model.name, None)
-    if mode != "enumerate":
-        raise ModelError(f"unknown normaliser mode {mode!r}")
+def normaliser(model: GroupModel) -> NormaliserResult:
+    """Members of the generating set's normaliser."""
     if not model.is_finite:
         raise CapabilityError(f"cannot enumerate the normaliser of {model.name}")
     if isinstance(model, SymmetricModel):

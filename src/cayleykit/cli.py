@@ -11,12 +11,14 @@ failures (corrupt caches, violated internal invariants).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from .cayley import (
     DEFAULT_WORD_CAP,
+    STRATEGIES,
     DistanceOracle,
     build_oracle,
     cache_path,
@@ -35,7 +37,6 @@ from .errors import (
 )
 from .groups import SymmetricModel, parse_model
 from .intervals import (
-    IntervalStats,
     build_interval,
     interval_stats,
     interval_to_dot,
@@ -57,7 +58,7 @@ def _add_model_arg(p: argparse.ArgumentParser):
 def _add_oracle_args(p: argparse.ArgumentParser):
     p.add_argument(
         "--strategy",
-        choices=("analytic", "table", "bidirectional"),
+        choices=tuple(STRATEGIES),
         default=None,
         help="override the automatic distance strategy",
     )
@@ -145,18 +146,6 @@ def cmd_geodesics(args) -> int:
 # -- interval -----------------------------------------------------------------
 
 
-def _stats_dict(stats: IntervalStats) -> dict:
-    return {
-        "size": stats.size,
-        "length": stats.length,
-        "rank_profile": list(stats.rank_profile),
-        "geodesic_count": stats.geodesic_count,
-        "max_antichain": stats.max_antichain,
-        "is_sperner": stats.is_sperner,
-        "is_lattice": stats.is_lattice,
-    }
-
-
 def cmd_interval(args) -> int:
     oracle = _oracle(args)
     model = oracle.model
@@ -203,7 +192,7 @@ def cmd_interval(args) -> int:
     if args.format == "json":
         data = interval_to_json(interval)
         if stats is not None:
-            data["stats"] = _stats_dict(stats)
+            data["stats"] = dataclasses.asdict(stats)
         _emit_json(data)
         return 0
     print(f"model: {model.name}")
@@ -334,7 +323,7 @@ def cmd_normaliser(args) -> int:
         else:
             print("yes" if member else "no")
         return 0
-    result = normaliser(model, mode="enumerate")
+    result = normaliser(model)
     members = sorted(result.members)
     if args.format == "json":
         data = {"model": model.name, "order": result.order}

@@ -21,9 +21,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, islice
+from typing import TYPE_CHECKING
 
-from .cayley import DistanceOracle, grade_walk, path_counts
-from .errors import ModelError
+from .errors import ModelError, UnreachableError
+
+if TYPE_CHECKING:
+    from .cayley import DistanceOracle
+    from .groups import GroupModel
 
 
 @dataclass
@@ -72,6 +76,29 @@ class GradedInterval:
         return up
 
 
+def grade_walk(model: GroupModel, start, gens, dist_to_end, n: int):
+    """Grades 1..n of the n-step geodesics from start to the element dist_to_end measures.
+
+    Yields (steps, grade) per grade i: grade lists each y = x*s (x in grade
+    i-1, s in gens) with dist_to_end(y) == n - i in first-discovered order
+    (parent order, then generator index), and steps holds the cover steps
+    (x, j, y) in the same order.  dist_to_end is not called for an element
+    already in the grade.
+    """
+    grade = [start]
+    for i in range(1, n + 1):
+        steps = []
+        nxt: dict = {}
+        for x in grade:
+            for j, s in enumerate(gens):
+                y = model.multiply(x, s)
+                if y in nxt or dist_to_end(y) == n - i:
+                    nxt[y] = None
+                    steps.append((x, j, y))
+        grade = list(nxt)
+        yield steps, grade
+
+
 def build_interval(oracle: DistanceOracle, g, h) -> GradedInterval:
     """All elements on geodesics from g to h, graded by distance from g."""
     model = oracle.model
@@ -92,8 +119,6 @@ def build_interval(oracle: DistanceOracle, g, h) -> GradedInterval:
 
 def prefix_le(oracle: DistanceOracle, g1, g2) -> bool:
     """g1 <= g2 in the prefix order: l(g2) = l(g1) + d(g1, g2)."""
-    from .errors import UnreachableError
-
     try:
         return oracle.length(g2) == oracle.length(g1) + oracle.distance(g1, g2)
     except UnreachableError:
@@ -124,8 +149,15 @@ def translate_interval(interval: GradedInterval, t) -> GradedInterval:
 
 
 def count_geodesics(interval: GradedInterval) -> int:
-    """Number of geodesic words from bottom to top (paths in the cover DAG)."""
-    return path_counts(interval.bottom, interval.cover_edges).get(interval.top, 0)
+    """Number of geodesic words from bottom to top (paths in the cover DAG).
+
+    cover_edges run grade by grade, as grade_walk yields them, so each x is
+    fully counted before an edge leaves it.
+    """
+    counts = {interval.bottom: 1}
+    for x, _, y in interval.cover_edges:
+        counts[y] = counts.get(y, 0) + counts[x]
+    return counts.get(interval.top, 0)
 
 
 def max_antichain(interval: GradedInterval) -> int:

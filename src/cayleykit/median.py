@@ -35,23 +35,15 @@ class Triangle:
     translation: object
     normalized: tuple
 
-    @classmethod
-    def make(cls, model: GroupModel, c0, c1, c2) -> "Triangle":
-        c0, c1, c2 = (
-            model.parse_element(c) if isinstance(c, str) else model.check_element(c)
-            for c in (c0, c1, c2)
-        )
-        inv0 = model.inverse(c0)
-        normalized = (
-            model.identity,
-            model.multiply(inv0, c1),
-            model.multiply(inv0, c2),
-        )
-        return cls(model, (c0, c1, c2), c0, normalized)
-
 
 def make_triangle(model: GroupModel, c0, c1, c2) -> Triangle:
-    return Triangle.make(model, c0, c1, c2)
+    c0, c1, c2 = (
+        model.parse_element(c) if isinstance(c, str) else model.check_element(c)
+        for c in (c0, c1, c2)
+    )
+    inv0 = model.inverse(c0)
+    normalized = (model.identity, model.multiply(inv0, c1), model.multiply(inv0, c2))
+    return Triangle(model, (c0, c1, c2), c0, normalized)
 
 
 def _require_symmetric(triangle: Triangle):

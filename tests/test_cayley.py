@@ -28,7 +28,7 @@ from cayleykit import (
     verify_table_cache,
     z2_model,
 )
-from cayleykit import cayley, ranking
+from cayleykit import cayley, intervals, ranking
 from cayleykit.cayley import UNREACHED
 
 
@@ -122,15 +122,36 @@ def test_length_parity_equals_permutation_parity():
 
 
 def test_strategy_validation():
-    with pytest.raises(CapabilityError):
-        DistanceOracle(circular_model(5), "analytic")
-    with pytest.raises(CapabilityError):
-        DistanceOracle(z2_model(), "table")
-    with pytest.raises(ModelError):
-        DistanceOracle(circular_model(5), "dijkstra")
-    assert DistanceOracle(cyclic_model(7)).strategy == "analytic"
-    assert DistanceOracle(circular_model(5)).strategy == "table"
-    assert build_oracle(circular_model(10)).strategy == "bidirectional"
+    # model -> the strategies it accepts; the default is the first of them
+    # in the order analytic, table, bidirectional
+    order = ("analytic", "table", "bidirectional")
+    matrix = [
+        (z2_model(), {"analytic"}),
+        (cyclic_model(7), {"analytic"}),
+        (cyclic_model(7, inverse_closed=False), {"analytic"}),
+        (adjacent_model(5), {"analytic", "table", "bidirectional"}),
+        (circular_model(5), {"table", "bidirectional"}),
+        (circular_model(10), {"bidirectional"}),
+        (custom_model(5, ["(1,2)", "(1,2,3,4,5)"]), {"table", "bidirectional"}),
+    ]
+    for model, accepted in matrix:
+        for strategy in order:
+            if strategy in accepted:
+                assert DistanceOracle(model, strategy).strategy == strategy
+            else:
+                with pytest.raises(CapabilityError, match=f"strategy '{strategy}' unsupported"):
+                    DistanceOracle(model, strategy)
+        with pytest.raises(ModelError, match="unknown strategy 'dijkstra'"):
+            DistanceOracle(model, "dijkstra")
+        default = next(s for s in order if s in accepted)
+        assert DistanceOracle(model).strategy == default
+        assert build_oracle(model).strategy == default
+
+
+def test_length_refuses_a_tuple_that_is_not_a_permutation():
+    oracle = DistanceOracle(circular_model(5), "table")
+    with pytest.raises(ModelError, match="not a permutation"):
+        oracle.length((0, 0, 0, 0, 0))
 
 
 def test_unreachable_is_an_error_not_a_distance():
@@ -196,7 +217,7 @@ def test_z2_geodesic_count_runs_no_grade_walk(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("grade_walk called")
 
-    monkeypatch.setattr(cayley, "grade_walk", boom)
+    monkeypatch.setattr(intervals, "grade_walk", boom)
     gs = build_oracle(z2_model()).geodesics((10, -20), (310, 280))
     assert (gs.distance, gs.count) == (600, _lattice_paths(300, 300))
 

@@ -25,6 +25,7 @@ from cayleykit import (
     median_parity_check,
     median_report,
     medians,
+    perm_rank,
     steiner_weight,
     z2_model,
 )
@@ -322,7 +323,7 @@ def test_table_interior_on_a_non_generating_set():
 def test_an_inconsistent_table_trips_the_half_perimeter_bound():
     model = circular_model(4)
     oracle = build_oracle(model)
-    oracle.lengths[oracle.rank(model.parse_element("(3,4)"))] = 0  # a second zero
+    oracle.lengths[perm_rank(model.parse_element("(3,4)"))] = 0  # a second zero
     for corners, message in [
         (("e", "(3,4)", "(2,3)"), "weight 1 beats the half-perimeter bound 2"),
         (("e", "(3,4)", "(1,2,3)"), "weight 2 beats the half-perimeter bound 3"),
