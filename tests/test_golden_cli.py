@@ -12,10 +12,12 @@ and review the diff.  Temporary paths print as <TMP>.
 from __future__ import annotations
 
 import io
+import os
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 from cayleykit.cli import main
 
@@ -93,18 +95,33 @@ CASES = [
     ["classify", "--model", "cyclic:8:semigroup", "--relation", "paths", "--all"],
     ["geodesics", "--model", "sym-circular:6", "--strategy", "bidirectional", "e",
      "(1,4)(2,5)(3,6)"],
+    ["classify", "--model", "sym-circular:5", "--relation", "bogus", "--all"],
+    ["census", "--model", "sym-circular:5", "--relation", "iso"],
+    ["dist", "--model", "sym-circular:5", "e", "(1,2)", "--strategy", "bogus"],
 ]
 
 
+def _run(argv) -> int:
+    """main(argv)'s exit code, including the one argparse raises as SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def transcript() -> str:
-    """Run every case in-process and return the combined record."""
+    """Run every case in-process and return the combined record.
+
+    COLUMNS is fixed at 80 while the cases run: argparse wraps its usage
+    lines at the terminal width.
+    """
     parts = []
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, COLUMNS="80"):
         for case in CASES:
             argv = [tmp if a == TMP else a for a in case]
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):
-                code = main(argv)
+                code = _run(argv)
             parts.append(
                 f"$ cayleykit {' '.join(case)}\n"
                 f"exit: {code}\n"
