@@ -5,6 +5,9 @@ L1 norm, cyclic groups, adjacent transpositions by inversion count), a full
 BFS distance table for symmetric models with n <= 9, and bidirectional BFS
 for symmetric models with 10 <= n <= 12.  Distances between arbitrary pairs
 reduce to lengths through left-invariance: d(g, h) = l(g^-1 h).
+
+numpy loads only when an array is first built or scanned: analytic and
+bidirectional queries, and table queries on a cached table, never load it.
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ from functools import cached_property
 from itertools import islice
 from math import comb, factorial
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import CacheError, CapabilityError, ModelError, UnreachableError
 from .groups import (
@@ -28,11 +30,17 @@ from .groups import (
     GroupModel,
     SymmetricModel,
 )
-from .intervals import build_interval, count_geodesics
 from .ranking import all_perms_array, perm_rank, rank_rows
+
+if TYPE_CHECKING:
+    import numpy as np
 
 UNREACHED = 255
 DEFAULT_WORD_CAP = 1_000_000
+# classify's relations and isomorphism cap live here, beside the strategies,
+# because the CLI parser reads them on every call
+RELATIONS = ("length", "paths", "size", "iso")
+DEFAULT_ISO_CAP = 100_000
 
 
 @dataclass
@@ -70,12 +78,20 @@ class DistanceOracle:
     # -- table internals ----------------------------------------------------
 
     def _init_table(self, cache_dir):
+        """_table holds l(perm_r) as one byte per rank r (UNREACHED = 255)."""
         if cache_dir is not None:
             path = cache_path(self.model, cache_dir)
             if path.exists():
-                self.lengths = load_table_cache(self.model, path)
+                self._table = _read_table_cache(self.model, path)
                 return
-        self.lengths = _bfs_table(self.gen_tables)
+        self._table = bytearray(_bfs_table(self.gen_tables))
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        """The table as a writable uint8 array over the same bytes, built on first use."""
+        import numpy as np
+
+        return np.frombuffer(self._table, dtype=np.uint8)
 
     @cached_property
     def gen_tables(self) -> np.ndarray:
@@ -90,6 +106,8 @@ class DistanceOracle:
     @cached_property
     def inverse_ranks(self) -> np.ndarray:
         """inverse_ranks[r] = rank(perm_r^-1), built on first use."""
+        import numpy as np
+
         return rank_rows(np.argsort(self.perms, axis=1).astype(np.uint8)).astype(np.int32)
 
     def dist_from(self, g) -> np.ndarray:
@@ -97,6 +115,8 @@ class DistanceOracle:
 
         int16, so sums of distances cannot wrap past UNREACHED as uint8 would.
         """
+        import numpy as np
+
         g_inv = np.array(self.model.inverse(self.model.check_element(g)), dtype=np.intp)
         return self.lengths[rank_rows(self.perms[:, g_inv])].astype(np.int16)
 
@@ -111,7 +131,7 @@ class DistanceOracle:
             return self._analytic_distance(g, h)
         t = model.multiply(model.inverse(g), h)
         if self.strategy == "table":
-            d = int(self.lengths[perm_rank(t)])
+            d = self._table[perm_rank(t)]
             if d == UNREACHED:
                 raise UnreachableError(
                     f"no word from {model.format_element(g)} to {model.format_element(h)}"
@@ -175,6 +195,8 @@ class DistanceOracle:
             total = self.distance(g, h)
             count = comb(total, abs(h[0] - g[0]))
         else:
+            from .intervals import build_interval, count_geodesics
+
             interval = build_interval(self, g, h)
             total, count = interval.length, count_geodesics(interval)
         words = ()
@@ -247,6 +269,8 @@ def _generator_tables(model: SymmetricModel, perms=None) -> np.ndarray:
     over their images read as base-(k-1) numbers), then the tables are filled
     from S_1 up.
     """
+    import numpy as np
+
     if perms is None:
         perms = model.generating_set.generators
     perms = np.asarray(perms, dtype=np.uint8)
@@ -278,6 +302,8 @@ def _bfs_table(gen_tables: np.ndarray) -> np.ndarray:
     takes the next frontier as every rank at that level: distances do not
     depend on the frontier's order, so no sort or dedup is needed.
     """
+    import numpy as np
+
     dist = np.full(gen_tables.shape[1], UNREACHED, dtype=np.uint8)
     dist[0] = 0
     frontier = np.zeros(1, dtype=np.intp)
@@ -370,6 +396,8 @@ def default_cache_dir() -> Path | None:
 
 def save_table_cache(model: GroupModel, lengths: np.ndarray, path) -> Path:
     """Write the table to a temp file beside path, then rename it over path."""
+    import numpy as np
+
     if not isinstance(model, SymmetricModel):
         raise CapabilityError(f"table caches apply to symmetric models, not {model.name}")
     if len(lengths) != factorial(model.n):
@@ -400,7 +428,8 @@ def _unpack(fmt: str, raw: bytes, pos: int, path) -> tuple:
     return struct.unpack_from(fmt, raw, pos)
 
 
-def load_table_cache(model: GroupModel, path) -> np.ndarray:
+def _read_table_cache(model: GroupModel, path) -> bytearray:
+    """The checked payload of a cache file: one distance byte per rank."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -422,16 +451,28 @@ def load_table_cache(model: GroupModel, path) -> np.ndarray:
         raise CacheError(f"{path}: generator-set hash mismatch")
     if n != model.n:
         raise CacheError(f"{path}: n={n} does not match model n={model.n}")
-    payload = raw[pos:]
+    payload = memoryview(raw)[pos:]
     if len(payload) != factorial(n):
         raise CacheError(f"{path}: payload has {len(payload)} bytes, expected {factorial(n)}")
     if zlib.crc32(payload) != stored_crc:
         raise CacheError(f"{path}: payload checksum mismatch")
-    return np.frombuffer(payload, dtype=np.uint8).copy()
+    return bytearray(payload)
+
+
+def load_table_cache(model: GroupModel, path) -> np.ndarray:
+    """The cached table as a writable uint8 array."""
+    import numpy as np
+
+    return np.frombuffer(_read_table_cache(model, path), dtype=np.uint8)
 
 
 def verify_table_cache(model: GroupModel, path) -> None:
-    """Load a cache and run the distance sanity sweep; raises CacheError on damage."""
+    """Load a cache and run the distance sanity sweep; raises CacheError on damage.
+
+    Each generator table is read across all n! ranks, unreached ranks masked.
+    """
+    import numpy as np
+
     lengths = load_table_cache(model, path)
     gen_tables = _generator_tables(model)
     if lengths[0] != 0:
@@ -439,19 +480,16 @@ def verify_table_cache(model: GroupModel, path) -> None:
     if int(np.count_nonzero(lengths == 0)) != 1:
         raise CacheError(f"{path}: multiple zero entries")
     reached = lengths != UNREACHED
-    ranks = np.flatnonzero(reached)
-    dist16 = lengths.astype(np.int16)
-    one_further = dist16[ranks] + 1
+    one_further = lengths + np.uint8(1)  # uint8: wraps only at UNREACHED, which is masked
     # once no step jumps, a rank has a predecessor one step closer exactly
     # when some reached rank steps onto it at one_further
     has_pred = np.zeros(len(lengths), dtype=bool)
     for j, table in enumerate(gen_tables):
-        succ = table[ranks]
-        nbr = dist16[succ]
-        if np.any(nbr == UNREACHED):  # tested first: 255 also exceeds one_further
+        nbr = lengths[table]
+        if np.any(reached & (nbr == UNREACHED)):  # tested first: 255 also exceeds one_further
             raise CacheError(f"{path}: reached element with unreached successor")
-        if np.any(nbr > one_further):
+        if np.any(reached & (nbr > one_further)):
             raise CacheError(f"{path}: distance jump along generator {j}")
-        has_pred[succ[nbr == one_further]] = True
+        has_pred[table[reached & (nbr == one_further)]] = True
     if not np.all(has_pred[reached & (lengths > 0)]):
         raise CacheError(f"{path}: element with no predecessor one step closer")

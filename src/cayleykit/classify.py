@@ -15,14 +15,13 @@ from itertools import accumulate
 
 import numpy as np
 
-from .cayley import UNREACHED, DistanceOracle, _generator_tables, build_oracle
+from .cayley import (DEFAULT_ISO_CAP, RELATIONS, UNREACHED, DistanceOracle, _generator_tables,
+                     build_oracle)
 from .errors import CapabilityError, ModelError
 from .groups import GroupModel, SymmetricModel
 from .intervals import GradedInterval, build_interval, count_geodesics, order_isomorphic
 from .ranking import all_perms_array, perm_unrank, rank_rows
 
-RELATIONS = ("length", "paths", "size", "iso")
-DEFAULT_ISO_CAP = 100_000
 # the size census builds right-multiplication tables for this many entries at a time
 _TABLE_ENTRIES = 1 << 19
 

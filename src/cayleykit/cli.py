@@ -6,6 +6,9 @@ set that does not generate its group is refused at parse), 3 for operations a
 model cannot support (--strategy table past n = 9, census or classify --all
 on z2, median under a set that is not inverse-closed), 4 for integrity
 failures (corrupt caches, violated internal invariants).
+
+The interval, median and classify modules load inside the handlers that use
+them, so a distance or geodesic query does not pay for them.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ import sys
 from pathlib import Path
 
 from .cayley import (
+    DEFAULT_ISO_CAP,
     DEFAULT_WORD_CAP,
+    RELATIONS,
     STRATEGIES,
     DistanceOracle,
     build_oracle,
@@ -26,7 +31,6 @@ from .cayley import (
     save_table_cache,
     verify_table_cache,
 )
-from .classify import DEFAULT_ISO_CAP, RELATIONS, census, classify, in_normaliser, normaliser
 from .errors import (
     CacheError,
     CapabilityError,
@@ -36,14 +40,6 @@ from .errors import (
     UnreachableError,
 )
 from .groups import SymmetricModel, parse_model
-from .intervals import (
-    build_interval,
-    interval_stats,
-    interval_to_dot,
-    interval_to_json,
-    partial_interval,
-)
-from .median import make_triangle, median_report
 
 MODEL_HELP = (
     "model descriptor: sym-circular:N, sym-adjacent:N, "
@@ -147,6 +143,14 @@ def cmd_geodesics(args) -> int:
 
 
 def cmd_interval(args) -> int:
+    from .intervals import (
+        build_interval,
+        interval_stats,
+        interval_to_dot,
+        interval_to_json,
+        partial_interval,
+    )
+
     oracle = _oracle(args)
     model = oracle.model
     g = model.parse_element(args.bottom)
@@ -215,6 +219,8 @@ def cmd_interval(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .classify import classify
+
     oracle = _oracle(args)
     model = oracle.model
     if args.all:
@@ -259,6 +265,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_census(args) -> int:
+    from .classify import census
+
     model = parse_model(args.model)
     relation = args.relation
     if relation is None:
@@ -287,6 +295,8 @@ def cmd_census(args) -> int:
 
 
 def cmd_median(args) -> int:
+    from .median import make_triangle, median_report
+
     oracle = _oracle(args)
     model = oracle.model
     corners = [model.parse_element(s) for s in (args.c0, args.c1, args.c2)]
@@ -313,6 +323,8 @@ def cmd_median(args) -> int:
 
 
 def cmd_normaliser(args) -> int:
+    from .classify import in_normaliser, normaliser
+
     model = parse_model(args.model)
     fmt = model.format_element
     if args.check is not None:

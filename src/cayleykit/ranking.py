@@ -1,12 +1,16 @@
 """Lehmer-code ranking of permutations.
 
 Permutations are 0-based image tuples; ranks run 0 .. n!-1 in lexicographic
-order of the image tuple, so the identity always has rank 0.
+order of the image tuple, so the identity always has rank 0.  numpy loads
+only when an array function first runs.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def perm_rank(perm) -> int:
@@ -39,6 +43,8 @@ def all_perms_array(n: int) -> np.ndarray:
     remaining values rest_v = (0..k-1 without v), arranged as S_(k-1) in rank
     order.  rest_v is increasing, so each block stays lexicographic.
     """
+    import numpy as np
+
     perms = np.zeros((1, 0), dtype=np.uint8)
     for k in range(1, n + 1):
         block = len(perms)
@@ -58,6 +64,8 @@ def rank_rows(rows: np.ndarray) -> np.ndarray:
     One pass per position: seen is the bitmask of the values already placed,
     and each Lehmer digit is v minus the popcount of the seen values below v.
     """
+    import numpy as np
+
     m, n = rows.shape
     ranks = np.zeros(m, dtype=np.int64)
     seen = np.zeros(m, dtype=np.uint16)
