@@ -18,7 +18,8 @@ import cayleykit
 
 SRC = str(Path(cayleykit.__file__).resolve().parents[1])
 
-# prints whether numpy is loaded and which lazily loaded submodules have run
+# prints whether numpy is loaded and which lazily loaded submodules have run;
+# object.__getattribute__ reads a module's dict without running the module
 REPORT = """
     import sys
     ran = sorted(
