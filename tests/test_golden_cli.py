@@ -98,6 +98,14 @@ CASES = [
     ["classify", "--model", "sym-circular:5", "--relation", "bogus", "--all"],
     ["census", "--model", "sym-circular:5", "--relation", "iso"],
     ["dist", "--model", "sym-circular:5", "e", "(1,2)", "--strategy", "bogus"],
+    ["geodesics", "--model", "sym-circular:8", "e", "(1,5)(2,6)(3,7)(4,8)", "--enumerate",
+     "--cap", "5"],
+    ["geodesics", "--model", "sym-circular:10", "e", "(1,2)(3,4)", "--enumerate"],
+    ["geodesics", "--model", "cyclic:7:semigroup", "2", "6", "--enumerate"],
+    ["geodesics", "--model", "sym-adjacent:5", "e", "(1,4)", "--enumerate"],
+    ["geodesics", "--model", "sym-circular:5", "(1,2)", "(1,2)", "--enumerate"],
+    ["geodesics", "--model", "z2", "(0,0)", "(3,2)", "--enumerate", "--cap", "0"],
+    ["dist", "--model", "sym-circular:10", "(1,2)", "(3,6,9)(4,10)"],
 ]
 
 
