@@ -19,7 +19,7 @@ import zlib
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from math import comb, factorial
+from math import comb, factorial, inf
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -123,9 +123,15 @@ class DistanceOracle:
     # -- distances -----------------------------------------------------------
 
     def length(self, g) -> int:
-        return self.distance(self.model.identity, self.model.check_element(g))
+        return self.distance(self.model.identity, g)
 
     def distance(self, g, h) -> int:
+        """d(g, h); raises ModelError unless both are elements of the model."""
+        check = self.model.check_element
+        return self.unchecked_distance(check(g), check(h))
+
+    def unchecked_distance(self, g, h) -> int:
+        """distance() without the checks, for elements a walk over the graph produced."""
         model = self.model
         if self.strategy == "analytic":
             return self._analytic_distance(g, h)
@@ -144,8 +150,8 @@ class DistanceOracle:
         if isinstance(model, FreeAbelianModel):
             return abs(h[0] - g[0]) + abs(h[1] - g[1])
         if isinstance(model, CyclicModel):
-            k = (model.check_element(h) - model.check_element(g)) % model.n
-            if model.inverse_closed_set:
+            k = (h - g) % model.n
+            if model.generating_set.inverse_closed:
                 return min(k, model.n - k)
             return k
         # adjacent transpositions: Coxeter length = inversion count
@@ -154,7 +160,7 @@ class DistanceOracle:
     def diameter(self) -> int:
         model = self.model
         if isinstance(model, CyclicModel):
-            return model.n // 2 if model.inverse_closed_set else model.n - 1
+            return model.n // 2 if model.generating_set.inverse_closed else model.n - 1
         if isinstance(model, SymmetricModel) and model.kind == "adjacent":
             return model.n * (model.n - 1) // 2
         if self.strategy == "table":
@@ -170,20 +176,13 @@ class DistanceOracle:
             raise ModelError(f"radius must be nonnegative, got {radius}")
         model = self.model
         gens = model.generating_set.generators
-        seen = {model.check_element(g)}
-        frontier = [g]
-        for _ in range(radius):
-            nxt = []
-            for x in frontier:
-                for s in gens:
-                    y = model.multiply(x, s)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            if not nxt:
+        frontier = [model.check_element(g)]
+        seen = dict.fromkeys(frontier, 0)
+        for depth in range(1, radius + 1):
+            frontier = _bfs_layer(model, frontier, seen, gens, depth)
+            if not frontier:
                 break
-            frontier = nxt
-        return seen
+        return set(seen)
 
     def geodesics(self, g, h, enumerate_words: bool = False, cap: int = DEFAULT_WORD_CAP) -> GeodesicSet:
         """All geodesic words from g to h; count stays exact when words are capped.
@@ -191,8 +190,9 @@ class DistanceOracle:
         Z^2 counts are closed-form, C(|dx|+|dy|, |dx|); other models count paths
         over the cover edges of the built interval [g, h].
         """
+        g, h = map(self.model.check_element, (g, h))
         if isinstance(self.model, FreeAbelianModel):
-            total = self.distance(g, h)
+            total = self.unchecked_distance(g, h)
             count = comb(total, abs(h[0] - g[0]))
         else:
             from .intervals import build_interval, count_geodesics
@@ -221,7 +221,7 @@ class DistanceOracle:
                 continue
             stack[-1] = (x, j + 1)
             y = self.model.multiply(x, gens[j])
-            if self.distance(y, h) == total - len(word) - 1:
+            if self.unchecked_distance(y, h) == total - len(word) - 1:
                 word.append(j)
                 stack.append((y, 0))
 
@@ -317,39 +317,38 @@ def _bfs_table(gen_tables: np.ndarray) -> np.ndarray:
     return dist
 
 
+def _bfs_layer(model: GroupModel, frontier: list, seen: dict, steps, depth: int) -> list:
+    """The x*s (x in frontier, s in steps) not yet in seen, in discovery order, entered at depth."""
+    layer = []
+    for x in frontier:
+        for s in steps:
+            y = model.multiply(x, s)
+            if y not in seen:
+                seen[y] = depth
+                layer.append(y)
+    return layer
+
+
 def _bidirectional_distance(model: GroupModel, g, h) -> int:
-    if g == h:
-        return 0
     gens = model.generating_set.generators
     inv_gens = tuple(model.inverse(s) for s in gens)
     fwd = {g: 0}
     bwd = {h: 0}
     fwd_frontier, bwd_frontier = [g], [h]
     df = db = 0
-    best = None
+    best = 0 if g == h else inf
     while fwd_frontier and bwd_frontier:
-        if best is not None and df + db + 1 >= best:
+        if df + db + 1 >= best:
             return best
         if len(fwd_frontier) <= len(bwd_frontier):
-            seen, frontier, other, step, depth = fwd, fwd_frontier, bwd, gens, df + 1
+            df += 1
+            fwd_frontier = _bfs_layer(model, fwd_frontier, fwd, gens, df)
+            best = min([best, *(df + bwd[y] for y in fwd_frontier if y in bwd)])
         else:
-            seen, frontier, other, step, depth = bwd, bwd_frontier, fwd, inv_gens, db + 1
-        new = []
-        for x in frontier:
-            for s in step:
-                y = model.multiply(x, s)
-                if y not in seen:
-                    seen[y] = depth
-                    new.append(y)
-                    if y in other:
-                        total = depth + other[y]
-                        if best is None or total < best:
-                            best = total
-        if seen is fwd:
-            fwd_frontier, df = new, depth
-        else:
-            bwd_frontier, db = new, depth
-    if best is not None:
+            db += 1
+            bwd_frontier = _bfs_layer(model, bwd_frontier, bwd, inv_gens, db)
+            best = min([best, *(db + fwd[y] for y in bwd_frontier if y in fwd)])
+    if best < inf:
         return best
     raise UnreachableError(
         f"no word from {model.format_element(g)} to {model.format_element(h)}"

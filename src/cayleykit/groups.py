@@ -207,7 +207,7 @@ class SymmetricModel(GroupModel):
             ]
             if not gens:
                 raise ModelError("custom model needs at least one generator")
-            if len(gens) > 200:  # generator indices must fit one byte in BFS tables
+            if len(gens) > 200:  # a table build holds one int32 table of n! ranks per generator
                 raise ModelError(f"custom set has {len(gens)} generators, limit is 200")
             if len(set(gens)) != len(gens):
                 raise ModelError("duplicate generator in custom set")
@@ -264,7 +264,6 @@ class CyclicModel(GroupModel):
             raise ModelError(f"cyclic model needs n >= 2, got {n}")
         self.n = n
         self.identity = 0
-        self.inverse_closed_set = inverse_closed
         if inverse_closed and n > 2:
             gens = (1, n - 1)
         else:

@@ -109,7 +109,7 @@ def build_interval(oracle: DistanceOracle, g, h) -> GradedInterval:
     edges = []
     element_rank = {g: 0}
     gens = model.generating_set.generators
-    walk = grade_walk(model, g, gens, lambda y: oracle.distance(y, h), n)
+    walk = grade_walk(model, g, gens, lambda y: oracle.unchecked_distance(y, h), n)
     for i, (steps, grade) in enumerate(walk, 1):
         edges.extend(steps)
         rank_sets.append(grade)
@@ -424,9 +424,9 @@ def partial_interval(oracle: DistanceOracle, g, h, k: int) -> PartialInterval:
     n = oracle.distance(g, h)
     gens = model.generating_set.generators
     depth = min(k, n)
-    front = grade_walk(model, g, gens, lambda y: oracle.distance(y, h), n)
+    front = grade_walk(model, g, gens, lambda y: oracle.unchecked_distance(y, h), n)
     inv_gens = [model.inverse(s) for s in gens]
-    back = grade_walk(model, h, inv_gens, lambda y: oracle.distance(g, y), n)
+    back = grade_walk(model, h, inv_gens, lambda y: oracle.unchecked_distance(g, y), n)
     front_sets = [[g]] + [grade for _, grade in islice(front, depth)]
     back_sets = [[h]] + [grade for _, grade in islice(back, depth)]
     return PartialInterval(model, g, h, n, k, front_sets, back_sets)

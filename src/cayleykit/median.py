@@ -80,9 +80,9 @@ def deltas(oracle: DistanceOracle, triangle: Triangle) -> tuple:
     i12 = build_interval(oracle, n1, n2)
     i02 = build_interval(oracle, e, n2)
     i01 = build_interval(oracle, e, n1)
-    d0 = min(oracle.distance(e, x) for x in i12.element_rank)
-    d1 = min(oracle.distance(n1, x) for x in i02.element_rank)
-    d2 = min(oracle.distance(n2, x) for x in i01.element_rank)
+    d0 = min(oracle.unchecked_distance(e, x) for x in i12.element_rank)
+    d1 = min(oracle.unchecked_distance(n1, x) for x in i02.element_rank)
+    d2 = min(oracle.unchecked_distance(n2, x) for x in i01.element_rank)
     return (d0, d1, d2)
 
 
@@ -122,7 +122,7 @@ def interior(oracle: DistanceOracle, triangle: Triangle) -> InteriorRegion:
     bound = (perimeter + 1) // 2
     records = {}
     for x in sorted(candidates):
-        dists = tuple(oracle.distance(c, x) for c in corners)
+        dists = tuple(oracle.unchecked_distance(c, x) for c in corners)
         weight = sum(dists)
         if weight < bound:
             raise _inconsistent(weight, bound)
@@ -158,7 +158,6 @@ def _inconsistent(weight: int, bound: int) -> InvariantError:
 
 def steiner_weight(oracle: DistanceOracle, h, triangle: Triangle) -> int:
     """Sum of distances from the (original) corners to h."""
-    h = triangle.model.check_element(h)
     return sum(oracle.distance(c, h) for c in triangle.corners)
 
 

@@ -23,12 +23,14 @@ from cayleykit import (
     custom_model,
     cyclic_model,
     load_table_cache,
+    parse_model,
     perm_parity,
     save_table_cache,
     verify_table_cache,
     z2_model,
 )
 from cayleykit import cayley, intervals, ranking
+from cayleykit.groups import apply_word
 from cayleykit.cayley import UNREACHED
 
 
@@ -84,6 +86,11 @@ def test_cyclic_distances():
     assert semi.distance(0, 7) == 7
     assert semi.distance(7, 0) == 3
     assert semi.diameter() == 9
+    # in C_2 the one generator is its own inverse, so both modes give the same metric
+    for model in (cyclic_model(2), cyclic_model(2, inverse_closed=False)):
+        oracle = build_oracle(model)
+        assert [[oracle.distance(a, b) for b in (0, 1)] for a in (0, 1)] == [[0, 1], [1, 0]]
+        assert oracle.diameter() == 1
 
 
 def test_adjacent_distance_is_inversion_count():
@@ -154,6 +161,28 @@ def test_length_refuses_a_tuple_that_is_not_a_permutation():
         oracle.length((0, 0, 0, 0, 0))
 
 
+NOT_IN_S5 = [(0, 0, 0, 0, 0), (1, 1, 2, 3, 4), (9, 9, 9, 9, 9), (0, 1, 2, 3)]
+
+
+@pytest.mark.parametrize(
+    "spec, strategy, bad",
+    [
+        ("sym-circular:5", "table", NOT_IN_S5),
+        ("sym-circular:5", "bidirectional", NOT_IN_S5),
+        ("sym-adjacent:5", "analytic", NOT_IN_S5),
+        ("z2", "analytic", [(1.5, 2), (0, 0, 0), (True, 1.0)]),
+        ("cyclic:7", "analytic", [7, -1, True, 2.0]),
+    ],
+)
+def test_distance_refuses_non_elements_on_either_side(spec, strategy, bad):
+    model = parse_model(spec)
+    oracle = DistanceOracle(model, strategy)
+    for x in bad:
+        for args in ((model.identity, x), (x, model.identity)):
+            with pytest.raises(ModelError):
+                oracle.distance(*args)
+
+
 def test_unreachable_is_an_error_not_a_distance():
     sub = custom_model(4, ["(1,2)"], require_generating=False)
     oracle = DistanceOracle(sub, "table")
@@ -193,6 +222,57 @@ def test_geodesics_count_and_words():
     assert capped.count == 4
     assert list(capped.words) == brute[:2]
     assert capped.truncated
+
+
+def _geodesic_words_by_brute_force(model, g, max_length):
+    """h -> (d(g, h), every word of length d(g, h) from g to h, sorted), for h within max_length.
+
+    Words of each length are tried in lexicographic order; an element's
+    distance is the first length at which some word reaches it.  A finite
+    group stops at the first length by which every element is reached.
+    """
+    found = {}
+    for length in range(max_length + 1):
+        if len(found) == model.order:
+            break
+        for word in product(range(len(model.generating_set)), repeat=length):
+            h = apply_word(model, g, word)
+            d, words = found.setdefault(h, (length, []))
+            if d == length:
+                words.append(word)
+    return found
+
+
+@pytest.mark.parametrize(
+    "spec, strategy",
+    [
+        ("sym-circular:4", None),
+        ("sym-circular:4", "bidirectional"),
+        ("sym-custom:4:(1,2);(1,2,3,4)", None),
+        ("cyclic:7:semigroup", None),
+    ],
+)
+def test_enumerated_words_are_every_geodesic_word(spec, strategy):
+    model = parse_model(spec)
+    oracle = DistanceOracle(model, strategy)
+    for g in model.elements():
+        brute = _geodesic_words_by_brute_force(model, g, model.order)
+        assert len(brute) == model.order
+        for h, (d, words) in brute.items():
+            gs = oracle.geodesics(g, h, enumerate_words=True)
+            assert (gs.distance, gs.count, gs.words) == (d, len(words), tuple(words))
+
+
+def test_enumerated_z2_words_are_every_geodesic_word():
+    model = z2_model()
+    oracle = build_oracle(model)
+    for g in ((0, 0), (2, -1)):
+        brute = _geodesic_words_by_brute_force(model, g, 6)
+        for dx, dy in product(range(-3, 4), repeat=2):
+            h = (g[0] + dx, g[1] + dy)
+            d, words = brute[h]
+            gs = oracle.geodesics(g, h, enumerate_words=True)
+            assert (gs.distance, gs.count, gs.words) == (d, len(words), tuple(words))
 
 
 def _lattice_paths(dx, dy):
@@ -238,6 +318,20 @@ def test_ball_matches_distances():
         ball = oracle.ball(g, radius)
         for h in model.elements():
             assert (h in ball) == (oracle.distance(g, h) <= radius)
+
+
+def test_a_ball_past_the_diameter_is_the_whole_group():
+    model = circular_model(5)
+    assert build_oracle(model).ball(model.identity, 10**9) == set(model.elements())
+
+
+def test_ball_sizes_follow_the_distance_histogram():
+    model = circular_model(6)
+    oracle = DistanceOracle(model, "table")
+    for g in (model.identity, model.parse_element("(1,3)(2,5,6)")):
+        dist = oracle.dist_from(g)
+        for radius in range(int(dist.max()) + 2):
+            assert len(oracle.ball(g, radius)) == int(np.count_nonzero(dist <= radius))
 
 
 def test_dist_from_matches_distance_and_keeps_the_unreached_marker():
