@@ -205,25 +205,37 @@ class DistanceOracle:
         return GeodesicSet(g, h, total, count, words, enumerate_words and count > cap)
 
     def _geodesic_words(self, g, h, total: int):
-        """Geodesic words from g to h, lexicographic in generator index (explicit-stack DFS)."""
-        gens = self.model.generating_set.generators
+        """Geodesic words from g to h, lexicographic in generator index (explicit-stack DFS).
+
+        Every word reaches an element x at depth d(g, x), so x's steps toward h
+        depend on x alone; each element's are found on its first visit.
+        """
+        model = self.model
+        gens = model.generating_set.generators
+        steps_of: dict = {}  # x -> the (j, x*s_j) one step closer to h, in generator order
         word: list[int] = []
-        stack = [(g, 0)]  # stack[i]: (element reached by word[:i], next generator to try)
+        stack = [(g, 0)]  # stack[i]: (element reached by word[:i], index of its next step)
         while stack:
-            x, j = stack[-1]
+            x, i = stack[-1]
             if len(word) == total:
                 yield tuple(word)
-                j = len(gens)
-            if j == len(gens):
+            if x not in steps_of:
+                rest = total - len(word) - 1
+                steps_of[x] = [
+                    (j, y)
+                    for j, s in enumerate(gens)
+                    if self.unchecked_distance(y := model.multiply(x, s), h) == rest
+                ]
+            steps = steps_of[x]
+            if i == len(steps):
                 stack.pop()
                 if stack:
                     word.pop()
                 continue
-            stack[-1] = (x, j + 1)
-            y = self.model.multiply(x, gens[j])
-            if self.unchecked_distance(y, h) == total - len(word) - 1:
-                word.append(j)
-                stack.append((y, 0))
+            stack[-1] = (x, i + 1)
+            j, y = steps[i]
+            word.append(j)
+            stack.append((y, 0))
 
 
 # which models each strategy serves; the default is the first that applies
