@@ -4,8 +4,10 @@ Output is deterministic: identical invocations produce byte-identical text,
 JSON, CSV, and DOT.  Exit codes: 2 for malformed models or elements (a custom
 set that does not generate its group is refused at parse), 3 for operations a
 model cannot support (--strategy table past n = 9, census or classify --all
-on z2, median under a set that is not inverse-closed), 4 for integrity
-failures (corrupt caches, violated internal invariants).
+on z2, median under a set that is not inverse-closed, running out of
+memory), 4 for integrity failures (corrupt caches, violated internal
+invariants), 130 when interrupted, and 1, with nothing printed, when the
+reader of stdout closes it early.
 
 The interval, median and classify modules load inside the handlers that use
 them, so a distance or geodesic query does not pay for them.
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -494,16 +497,29 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader left: point stdout at devnull so the exit flush cannot fail
+        # again (Python docs, signal module, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ElementSyntaxError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CapabilityError, UnreachableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 3
     except (CacheError, InvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

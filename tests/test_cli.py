@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import resource
 import subprocess
 import sys
 from math import comb
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from cayleykit import load_table_cache, parse_model, save_table_cache
+from cayleykit import cli
 from cayleykit.cli import main
 
 
@@ -346,3 +349,47 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "3\n"
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _cli_process(*argv: str, **kwargs) -> subprocess.Popen:
+    return subprocess.Popen(
+        [sys.executable, "-m", "cayleykit.cli", *argv],
+        env={**os.environ, "PYTHONPATH": SRC},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        **kwargs,
+    )
+
+
+def test_a_reader_closing_the_pipe_ends_the_call_quietly():
+    proc = _cli_process("interval", "--model", "z2", "(0,0)", "(300,300)", "--format", "json")
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert head.startswith(b"{")
+    assert err == ""
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+
+def test_running_out_of_memory_is_one_line_and_exit_3():
+    proc = _cli_process(
+        "interval", "--model", "z2", "(0,0)", "(2000,2000)", preexec_fn=_limit_address_space
+    )
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, out, err.decode()) == (3, b"", "error: out of memory\n")
+
+
+def test_an_interrupt_is_one_line_and_exit_130(capsys, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "build_oracle", interrupted)
+    code, out, err = _run(capsys, ["dist", "--model", "sym-circular:5", "e", "(1,2)"])
+    assert (code, out, err) == (130, "", "error: interrupted\n")
