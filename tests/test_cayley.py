@@ -17,6 +17,7 @@ from cayleykit import (
     ModelError,
     UnreachableError,
     adjacent_model,
+    apply_word,
     build_oracle,
     cache_path,
     circular_model,
@@ -30,7 +31,6 @@ from cayleykit import (
     z2_model,
 )
 from cayleykit import cayley, intervals, ranking
-from cayleykit.groups import apply_word
 from cayleykit.cayley import UNREACHED
 
 
