@@ -106,6 +106,8 @@ CASES = [
     ["geodesics", "--model", "sym-circular:5", "(1,2)", "(1,2)", "--enumerate"],
     ["geodesics", "--model", "z2", "(0,0)", "(3,2)", "--enumerate", "--cap", "0"],
     ["dist", "--model", "sym-circular:10", "(1,2)", "(3,6,9)(4,10)"],
+    ["interval", "--model", "sym-circular:5", "e", "(1,3)(2,4)", "--partial", "1", "--stats"],
+    ["geodesics", "--model", "sym-circular:5", "e", "(1,3)(2,4)", "--enumerate", "--cap", "-1"],
 ]
 
 
