@@ -9,10 +9,10 @@ builds are deterministic.
 The statistics read one cover DAG per interval, GradedInterval.dag, built on
 first use.  Its index i is the i-th key of element_rank, which lists elements
 rank by rank in first-discovered order, so every cover edge runs from a lower
-index to a higher one and a reverse index sweep visits children first.  The
-bottom is index 0 and the top index m - 1.  Width and the lattice test work
-on that DAG alone: a min flow through it and the joins of upper covers, with
-no all-pairs sweep.
+index to a higher one and an index sweep visits parents first.  The bottom is
+index 0 and the top index m - 1.  Width and the lattice test work on that DAG
+alone: a min flow through it and the meets of lower covers, found in one
+sweep up the ranks, with no all-pairs sweep and nothing quadratic kept.
 """
 
 from __future__ import annotations
@@ -62,18 +62,6 @@ class GradedInterval:
             children[i].append(k)
             parents[k].append(i)
         return children, parents
-
-    @cached_property
-    def up_masks(self) -> list:
-        """Reflexive up-sets as bitmasks over the dag index."""
-        children, _ = self.dag
-        up = [0] * len(children)
-        for i in range(len(children) - 1, -1, -1):
-            mask = 1 << i
-            for c in children[i]:
-                mask |= up[c]
-            up[i] = mask
-        return up
 
 
 def grade_walk(model: GroupModel, start, gens, dist_to_end, n: int):
@@ -255,33 +243,43 @@ def max_antichain(interval: GradedInterval) -> int:
 
 
 def is_lattice(interval: GradedInterval) -> bool:
-    """True iff every two elements have a join (a least upper bound).
+    """True iff every two elements have a meet (a greatest lower bound).
 
-    An interval is finite with a bottom and a top, so joins for every pair
-    make it a lattice: the meet of a and b is the join of their common lower
-    bounds.  By Björner, Edelman and Ziegler (Discrete Comput. Geom. 5, 1990,
-    Lemma 2.1) it is enough that every two distinct upper covers of a common
-    element have a join.  Sketch: take a pair x, y with no join whose maximal
-    common lower bound c has the highest rank.  Let c be covered by x1 <= x
-    and y1 <= y; x1 != y1 as c is maximal, so z = x1 v y1 exists.  The pairs
-    (x, z) and then (x v z, y) have common lower bounds above c, so
-    u = x v z and u v y exist, and every common upper bound of x and y lies
-    above x1, y1, z, u and u v y: u v y is the join of x and y.
+    An interval is finite with a bottom and a top, so meets for every pair
+    make it a lattice: the join of a and b is the meet of their common upper
+    bounds.  By the dual of Björner, Edelman and Ziegler (Discrete Comput.
+    Geom. 5, 1990, Lemma 2.1) it is enough that every two distinct lower
+    covers of a common element have a meet.  Sketch: take a pair x, y with no
+    meet whose minimal common upper bound c has the lowest rank.  Let c cover
+    x1 >= x and y1 >= y; x1 != y1 as c is minimal, so z = x1 ∧ y1 exists.
+    The pairs (x, z) and then (x ∧ z, y) have common upper bounds below c, so
+    u = x ∧ z and u ∧ y exist, and every common lower bound of x and y lies
+    below x1, y1, z, u and u ∧ y: u ∧ y is the meet of x and y.
 
-    So only the pairs within each children list are tested, sum C(outdeg, 2)
-    of them rather than m^2 / 2.  A pair's common upper bounds have a least
-    element iff they all lie above the one of lowest index (lowest rank).
-    Cost: the up-set masks, O(m E / 64) word operations, then one mask
-    intersection per tested pair.
+    So one sweep up the ranks tests the pairs within each parents list, sum
+    C(indeg, 2) of them.  It builds each reflexive down-set as a bitmask from
+    the lower covers' masks and keeps its size.  A pair's common lower bounds
+    D form a down-set holding its highest index h, so D has a greatest
+    element, h, iff |D| = |down(h)|.  Only the rank below keeps its masks:
+    memory is the widest rank times m bits, time O(m E / 64) word operations.
     """
-    children, _ = interval.dag
-    up = interval.up_masks
-    for kids in children:
-        for a, b in combinations(kids, 2):
-            ups = up[a] & up[b]
-            least = ups & -ups  # lowest dense index = lowest rank
-            if ups & ~up[least.bit_length() - 1]:
-                return False
+    _, parents = interval.dag
+    down = [0] * len(parents)  # down-set masks of this rank and the one below
+    size = []  # size[i]: the number of elements at or below index i
+    prev = lo = 0  # the first indices of the rank below and of this rank
+    for width in interval.rank_profile:
+        for i in range(lo, lo + width):
+            mask = 1 << i
+            for p in parents[i]:
+                mask |= down[p]
+            for a, b in combinations(parents[i], 2):
+                common = down[a] & down[b]
+                if common.bit_count() != size[common.bit_length() - 1]:
+                    return False
+            down[i] = mask
+            size.append(mask.bit_count())
+        down[prev:lo] = [0] * (lo - prev)
+        prev, lo = lo, lo + width
     return True
 
 

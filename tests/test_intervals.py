@@ -366,19 +366,18 @@ def test_interval_properties_against_brute_force(kind, gi, hi, ti):
     assert interval_stats(translate_interval(interval, t)) == interval_stats(interval)
 
 
-def test_interval_stats_builds_the_dag_and_up_masks_once(monkeypatch):
+def test_interval_stats_builds_the_dag_once(monkeypatch):
     builds = []
-    for name in ("dag", "up_masks"):
-        build = GradedInterval.__dict__[name].func
+    build = GradedInterval.__dict__["dag"].func
 
-        def counted(self, build=build, name=name):
-            builds.append(name)
-            return build(self)
+    def counted(self):
+        builds.append("dag")
+        return build(self)
 
-        prop = cached_property(counted)
-        prop.__set_name__(GradedInterval, name)
-        monkeypatch.setattr(GradedInterval, name, prop)
+    prop = cached_property(counted)
+    prop.__set_name__(GradedInterval, "dag")
+    monkeypatch.setattr(GradedInterval, "dag", prop)
     model = circular_model(5)
     interval = build_interval(build_oracle(model), model.identity, model.parse_element("(1,3)(2,4)"))
     interval_stats(interval)
-    assert sorted(builds) == ["dag", "up_masks"]
+    assert builds == ["dag"]
