@@ -190,6 +190,8 @@ class DistanceOracle:
         Z^2 counts are closed-form, C(|dx|+|dy|, |dx|); other models count paths
         over the cover edges of the built interval [g, h].
         """
+        if cap < 0:
+            raise ModelError(f"cap must be nonnegative, got {cap}")
         g, h = map(self.model.check_element, (g, h))
         if isinstance(self.model, FreeAbelianModel):
             total = self.unchecked_distance(g, h)
@@ -201,7 +203,7 @@ class DistanceOracle:
             total, count = interval.length, count_geodesics(interval)
         words = ()
         if enumerate_words:
-            words = tuple(islice(self._geodesic_words(g, h, total), max(cap, 0)))
+            words = tuple(islice(self._geodesic_words(g, h, total), cap))
         return GeodesicSet(g, h, total, count, words, enumerate_words and count > cap)
 
     def _geodesic_words(self, g, h, total: int):

@@ -1,11 +1,11 @@
 """Command-line interface: distances, intervals, censuses, medians, caches.
 
 Output is deterministic: identical invocations produce byte-identical text,
-JSON, CSV, and DOT.  Exit codes: 2 for malformed models or elements (a custom
-set that does not generate its group is refused at parse), 3 for operations a
-model cannot support (--strategy table past n = 9, census or classify --all
-on z2, median under a set that is not inverse-closed, running out of
-memory), 4 for integrity failures (corrupt caches, violated internal
+JSON, CSV, and DOT.  Exit codes: 2 for malformed models, elements or options
+(a custom set that does not generate its group is refused at parse), 3 for
+operations a model cannot support (--strategy table past n = 9, census or
+classify --all on z2, median under a set that is not inverse-closed, running
+out of memory), 4 for integrity failures (corrupt caches, violated internal
 invariants), 130 when interrupted, and 1, with nothing printed, when the
 reader of stdout closes it early.
 
@@ -163,6 +163,8 @@ def cmd_interval(args) -> int:
     if args.partial is not None:
         if args.format == "dot":
             raise ModelError("dot output requires the full interval, not --partial")
+        if args.stats:
+            raise ModelError("--stats requires the full interval, not --partial")
         part = partial_interval(oracle, g, h, args.partial)
         if args.format == "json":
             _emit_json(

@@ -362,6 +362,15 @@ def test_ball_rejects_negative_radius():
         oracle.ball((0, 0), -1)
 
 
+@pytest.mark.parametrize("model", [circular_model(5), z2_model()], ids=["sym", "z2"])
+def test_geodesics_rejects_a_negative_cap(model):
+    oracle = build_oracle(model)
+    g, h = model.identity, model.generating_set.generators[0]
+    with pytest.raises(ModelError, match="cap must be nonnegative, got -1"):
+        oracle.geodesics(g, h, enumerate_words=True, cap=-1)
+    assert oracle.geodesics(g, h, enumerate_words=True, cap=0).words == ()
+
+
 def test_diameter_needs_a_table_or_formula():
     with pytest.raises(CapabilityError):
         build_oracle(z2_model()).diameter()

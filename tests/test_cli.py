@@ -107,6 +107,13 @@ def test_interval_partial(capsys):
     )
     assert code == 2
     assert "full interval" in err
+    code, out, err = _run(
+        capsys,
+        ["interval", "--model", "sym-circular:5", "e", "(1,3)(2,4)", "--partial", "1",
+         "--stats"],
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --stats requires the full interval, not --partial\n"
 
 
 def test_classify_all(capsys):
@@ -374,16 +381,30 @@ def test_a_reader_closing_the_pipe_ends_the_call_quietly():
     assert err == ""
 
 
-def _limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+def _address_space_limit(mb: int):
+    """A preexec_fn that caps the child's address space at mb megabytes."""
+    return lambda: resource.setrlimit(resource.RLIMIT_AS, (mb << 20, mb << 20))
 
 
 def test_running_out_of_memory_is_one_line_and_exit_3():
     proc = _cli_process(
-        "interval", "--model", "z2", "(0,0)", "(2000,2000)", preexec_fn=_limit_address_space
+        "interval", "--model", "z2", "(0,0)", "(2000,2000)", preexec_fn=_address_space_limit(256)
     )
     out, err = proc.communicate(timeout=120)
     assert (proc.returncode, out, err.decode()) == (3, b"", "error: out of memory\n")
+
+
+def test_interval_stats_fit_in_memory_linear_in_the_interval():
+    # 90,601 elements; up-set masks over the whole interval would take about 1 GB
+    proc = _cli_process(
+        "interval", "--model", "z2", "(0,0)", "(300,300)", "--stats",
+        preexec_fn=_address_space_limit(512),
+    )
+    out, err = proc.communicate(timeout=300)
+    assert (proc.returncode, err.decode()) == (0, "")
+    lines = out.decode().splitlines()
+    assert "max antichain: 301" in lines
+    assert "lattice: yes" in lines
 
 
 def test_an_interrupt_is_one_line_and_exit_130(capsys, monkeypatch):
