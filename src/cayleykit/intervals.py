@@ -260,8 +260,8 @@ def is_lattice(interval: GradedInterval) -> bool:
     C(indeg, 2) of them.  It builds each reflexive down-set as a bitmask from
     the lower covers' masks and keeps its size.  A pair's common lower bounds
     D form a down-set holding its highest index h, so D has a greatest
-    element, h, iff |D| = |down(h)|.  Only the rank below keeps its masks:
-    memory is the widest rank times m bits, time O(m E / 64) word operations.
+    element, h, iff |D| = |down(h)|.  A rank's masks go once the rank above
+    is done: memory is two ranks' masks of at most m bits, time O(m E / 64).
     """
     _, parents = interval.dag
     down = [0] * len(parents)  # down-set masks of this rank and the one below
