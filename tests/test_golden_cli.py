@@ -108,6 +108,12 @@ CASES = [
     ["dist", "--model", "sym-circular:10", "(1,2)", "(3,6,9)(4,10)"],
     ["interval", "--model", "sym-circular:5", "e", "(1,3)(2,4)", "--partial", "1", "--stats"],
     ["geodesics", "--model", "sym-circular:5", "e", "(1,3)(2,4)", "--enumerate", "--cap", "-1"],
+    ["dist", "--model", "sym-circular:9", "e", "(1,5,9,4,8,3,7,2,6)"],
+    ["dist", "--model", "sym-custom:9:(1,2);(1,2,3,4,5,6,7,8,9)", "e", "(1,2)(3,9,4,8,5,7,6)",
+     "--format", "json"],
+    ["dist", "--model", "sym-circular:8", "(1,3,5)(2,8)", "(1,3,5)(2,8)"],
+    ["dist", "--model", "sym-circular:9", "e", "(1,10)"],
+    ["dist", "--model", "sym-circular:9", "--strategy", "table", "(1,2)", "(1,5,9)(2,6)(3,7)"],
 ]
 
 
