@@ -3,8 +3,11 @@
 Strategy selection: analytic formulas where a closed form exists (Z^2 by the
 L1 norm, cyclic groups, adjacent transpositions by inversion count), a full
 BFS distance table for symmetric models with n <= 9, and bidirectional BFS
-for symmetric models with 10 <= n <= 12.  Distances between arbitrary pairs
-reduce to lengths through left-invariance: d(g, h) = l(g^-1 h).
+for symmetric models with 10 <= n <= 12.  Table distances between arbitrary
+pairs reduce to lengths through left-invariance: d(g, h) = l(g^-1 h).  The
+search runs from g and h over permutations held as bytes, one bytes.translate
+per step, and answers one query faster than a table builds, so the CLI's
+`dist` searches unless a table cache exists or `--strategy table` is named.
 
 numpy loads only when an array is first built or scanned: analytic and
 bidirectional queries, and table queries on a cached table, never load it.
@@ -19,7 +22,7 @@ import zlib
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from math import comb, factorial, inf
+from math import comb, factorial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -71,7 +74,7 @@ class DistanceOracle:
 
     def __init__(self, model: GroupModel, strategy: str | None = None, cache_dir=None):
         self.model = model
-        self.strategy = _strategy(model, strategy)
+        self.strategy = choose_strategy(model, strategy)
         if self.strategy == "table":
             self._init_table(cache_dir)
 
@@ -135,15 +138,14 @@ class DistanceOracle:
         model = self.model
         if self.strategy == "analytic":
             return self._analytic_distance(g, h)
-        t = model.multiply(model.inverse(g), h)
-        if self.strategy == "table":
-            d = self._table[perm_rank(t)]
-            if d == UNREACHED:
-                raise UnreachableError(
-                    f"no word from {model.format_element(g)} to {model.format_element(h)}"
-                )
-            return d
-        return _bidirectional_distance(model, model.identity, t)
+        if self.strategy == "bidirectional":
+            return _bidirectional_distance(model, g, h)
+        d = self._table[perm_rank(model.multiply(model.inverse(g), h))]
+        if d == UNREACHED:
+            raise UnreachableError(
+                f"no word from {model.format_element(g)} to {model.format_element(h)}"
+            )
+        return d
 
     def _analytic_distance(self, g, h) -> int:
         model = self.model
@@ -179,7 +181,7 @@ class DistanceOracle:
         frontier = [model.check_element(g)]
         seen = dict.fromkeys(frontier, 0)
         for depth in range(1, radius + 1):
-            frontier = _bfs_layer(model, frontier, seen, gens, depth)
+            frontier = _bfs_layer(frontier, seen, gens, depth, model.multiply)
             if not frontier:
                 break
         return set(seen)
@@ -249,7 +251,7 @@ STRATEGIES = {
 }
 
 
-def _strategy(model: GroupModel, strategy: str | None) -> str:
+def choose_strategy(model: GroupModel, strategy: str | None) -> str:
     """The named strategy if it serves model, else the first that does."""
     if not strategy:
         strategy = next((name for name, fits in STRATEGIES.items() if fits(model)), None)
@@ -331,39 +333,46 @@ def _bfs_table(gen_tables: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _bfs_layer(model: GroupModel, frontier: list, seen: dict, steps, depth: int) -> list:
-    """The x*s (x in frontier, s in steps) not yet in seen, in discovery order, entered at depth."""
+def _bfs_layer(frontier: list, seen: dict, steps, depth: int, step, meet=()) -> list | None:
+    """The unseen step(x, s), x in frontier, s in steps, entered at depth; None at one in meet."""
     layer = []
     for x in frontier:
         for s in steps:
-            y = model.multiply(x, s)
+            y = step(x, s)
             if y not in seen:
+                if y in meet:
+                    return None
                 seen[y] = depth
                 layer.append(y)
     return layer
 
 
-def _bidirectional_distance(model: GroupModel, g, h) -> int:
+def _bidirectional_distance(model: SymmetricModel, g, h) -> int:
+    """d(g, h) by BFS from both ends over permutations held as bytes (dict keys).
+
+    x.translate(bytes(s) + bytes(range(n, 256))) is x*s (x, then s), in C; the
+    backward side steps by the inverse generators.  While fwd and bwd hold all
+    within df of g and db of h and share nothing, d(g, h) > df + db, so a layer
+    stops at its first element on the other side, which meets it at df + db.
+    """
+    if g == h:
+        return 0
+    pad = bytes(range(model.n, 256))
     gens = model.generating_set.generators
-    inv_gens = tuple(model.inverse(s) for s in gens)
-    fwd = {g: 0}
-    bwd = {h: 0}
-    fwd_frontier, bwd_frontier = [g], [h]
+    fwd_steps = [bytes(s) + pad for s in gens]
+    bwd_steps = [bytes(model.inverse(s)) + pad for s in gens]
+    fwd_frontier, bwd_frontier = [bytes(g)], [bytes(h)]
+    fwd, bwd = dict.fromkeys(fwd_frontier, 0), dict.fromkeys(bwd_frontier, 0)
     df = db = 0
-    best = 0 if g == h else inf
     while fwd_frontier and bwd_frontier:
-        if df + db + 1 >= best:
-            return best
         if len(fwd_frontier) <= len(bwd_frontier):
             df += 1
-            fwd_frontier = _bfs_layer(model, fwd_frontier, fwd, gens, df)
-            best = min([best, *(df + bwd[y] for y in fwd_frontier if y in bwd)])
+            fwd_frontier = _bfs_layer(fwd_frontier, fwd, fwd_steps, df, bytes.translate, bwd)
         else:
             db += 1
-            bwd_frontier = _bfs_layer(model, bwd_frontier, bwd, inv_gens, db)
-            best = min([best, *(db + fwd[y] for y in bwd_frontier if y in fwd)])
-    if best < inf:
-        return best
+            bwd_frontier = _bfs_layer(bwd_frontier, bwd, bwd_steps, db, bytes.translate, fwd)
+    if fwd_frontier is None or bwd_frontier is None:
+        return df + db
     raise UnreachableError(
         f"no word from {model.format_element(g)} to {model.format_element(h)}"
     )

@@ -30,6 +30,7 @@ from .cayley import (
     DistanceOracle,
     build_oracle,
     cache_path,
+    choose_strategy,
     default_cache_dir,
     save_table_cache,
     verify_table_cache,
@@ -88,8 +89,14 @@ def _profile_text(profile) -> str:
 
 
 def cmd_dist(args) -> int:
-    oracle = _oracle(args)
-    model = oracle.model
+    model = parse_model(args.model)
+    cache_dir = args.cache_dir or default_cache_dir()
+    strategy = args.strategy
+    # one query: a search costs less than building all n! distances, unless a cache holds them
+    if not strategy and choose_strategy(model, None) == "table":
+        if cache_dir is None or not cache_path(model, cache_dir).exists():
+            strategy = "bidirectional"
+    oracle = build_oracle(model, strategy, cache_dir)
     g = model.parse_element(args.source)
     h = model.parse_element(args.target)
     d = oracle.distance(g, h)

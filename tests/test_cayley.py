@@ -121,6 +121,28 @@ def test_left_invariance_between_strategies():
         assert table.length(model.multiply(model.inverse(g), h)) == d
 
 
+@pytest.mark.parametrize("spec", [
+    "sym-circular:8",
+    "sym-custom:7:(1,2);(1,2,3,4,5,6,7)",  # not inverse-closed: the search steps back by inverses
+    "sym-adjacent:6",  # analytic by default, both strategies forced here
+])
+def test_bidirectional_search_matches_the_table(spec):
+    model = parse_model(spec)
+    table = DistanceOracle(model, "table")
+    search = DistanceOracle(model, "bidirectional")
+    # the antipodes: every rank at the largest distance from e
+    far = np.flatnonzero(table.lengths == table.lengths.max())
+    antipodes = [tuple(int(v) for v in table.perms[r]) for r in far[:3]]
+    rng = random.Random(17)
+    pairs = [(model.identity, a) for a in antipodes] + [(a, model.identity) for a in antipodes]
+    for _ in range(25):
+        g = tuple(rng.sample(range(model.n), model.n))
+        pairs += [(g, tuple(rng.sample(range(model.n), model.n))), (g, g)]
+    for g, h in pairs:
+        assert search.distance(g, h) == table.distance(g, h), (g, h)
+    assert search.length(antipodes[0]) == table.diameter()
+
+
 def test_length_parity_equals_permutation_parity():
     model = circular_model(5)
     oracle = DistanceOracle(model, "table")
@@ -185,12 +207,16 @@ def test_distance_refuses_non_elements_on_either_side(spec, strategy, bad):
 
 def test_unreachable_is_an_error_not_a_distance():
     sub = custom_model(4, ["(1,2)"], require_generating=False)
-    oracle = DistanceOracle(sub, "table")
-    assert oracle.distance(sub.identity, sub.parse_element("(1,2)")) == 1
-    with pytest.raises(UnreachableError):
-        oracle.distance(sub.identity, sub.parse_element("(1,3)"))
-    with pytest.raises(UnreachableError):
-        oracle.length(sub.parse_element("(3,4)"))
+    for strategy in ("table", "bidirectional"):
+        oracle = DistanceOracle(sub, strategy)
+        assert oracle.distance(sub.identity, sub.parse_element("(1,2)")) == 1
+        # the message names both elements in cycle notation, whatever the search holds
+        with pytest.raises(UnreachableError, match=r"^no word from e to \(1,3\)$"):
+            oracle.distance(sub.identity, sub.parse_element("(1,3)"))
+        with pytest.raises(UnreachableError, match=r"^no word from \(1,2\) to \(3,4\)$"):
+            oracle.distance(*map(sub.parse_element, ("(1,2)", "(3,4)")))
+        with pytest.raises(UnreachableError):
+            oracle.length(sub.parse_element("(3,4)"))
 
 
 def test_geodesics_count_and_words():
@@ -326,12 +352,15 @@ def test_a_ball_past_the_diameter_is_the_whole_group():
 
 
 def test_ball_sizes_follow_the_distance_histogram():
-    model = circular_model(6)
-    oracle = DistanceOracle(model, "table")
-    for g in (model.identity, model.parse_element("(1,3)(2,5,6)")):
-        dist = oracle.dist_from(g)
-        for radius in range(int(dist.max()) + 2):
-            assert len(oracle.ball(g, radius)) == int(np.count_nonzero(dist <= radius))
+    # each ball is exactly the elements within its radius, on an inverse-closed
+    # set and on a directed one
+    for model in (circular_model(6), custom_model(6, ["(1,2)", "(1,2,3,4,5,6)"])):
+        oracle = DistanceOracle(model, "table")
+        for g in (model.identity, model.parse_element("(1,3)(2,5,6)")):
+            dist = oracle.dist_from(g)
+            for radius in range(int(dist.max()) + 2):
+                want = {tuple(int(v) for v in p) for p in oracle.perms[dist <= radius]}
+                assert oracle.ball(g, radius) == want
 
 
 def test_dist_from_matches_distance_and_keeps_the_unreached_marker():

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from cayleykit import load_table_cache, parse_model, save_table_cache
-from cayleykit import cli
+from cayleykit import cayley, cli
 from cayleykit.cli import main
 
 
@@ -243,6 +243,21 @@ def test_cached_oracle_serves_the_dist_command(tmp_path, capsys):
     )
     assert code == 0
     assert out.strip().isdigit()
+
+
+def test_dist_reads_an_existing_cache_file_and_otherwise_searches(tmp_path, capsys, monkeypatch):
+    model = parse_model("sym-circular:6")
+    lengths = load_table_cache(model, _build_s6_cache(capsys, tmp_path))
+    lengths[719] = 9  # the reversal is at 7; a checksummed file that says 9
+    save_table_cache(model, lengths, cayley.cache_path(model, tmp_path))
+    dist = ["dist", "--model", "sym-circular:6", "e", "(1,6)(2,5)(3,4)"]
+    assert _run(capsys, [*dist, "--cache-dir", str(tmp_path)])[1] == "9\n"
+    # with no cache file and no --strategy, one dist is one search: no table is built
+    monkeypatch.setattr(cayley, "_bfs_table", lambda *a: pytest.fail("built a table"))
+    assert _run(capsys, dist)[1] == "7\n"
+    assert _run(capsys, [*dist, "--cache-dir", str(tmp_path / "empty")])[1] == "7\n"
+    with pytest.raises(pytest.fail.Exception, match="built a table"):
+        main([*dist, "--strategy", "table"])
 
 
 def _build_s6_cache(capsys, cache_dir) -> Path:

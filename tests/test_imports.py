@@ -69,8 +69,18 @@ def test_a_cached_table_answers_without_numpy(tmp_path):
     assert _cli_report("cache", "build", "--model", "sym-circular:6", *cache).startswith("True")
     dist = ("dist", "--model", "sym-circular:6", "e", "(1,6)(2,5)(3,4)")
     assert _cli_report(*dist, *cache) == "False -"
-    # the same query with no cache builds the table, so the check above can fail
-    assert _cli_report(*dist) == "True -"
+    # the same query on the table strategy with no cache builds the table,
+    # so the check above can fail
+    assert _cli_report(*dist, "--strategy", "table") == "True -"
+
+
+@pytest.mark.parametrize("model, target", [
+    ("sym-circular:9", "(1,5,9,4,8,3,7,2,6)"),
+    ("sym-custom:9:(1,2);(1,2,3,4,5,6,7,8,9)", "(1,2)(3,9,4,8,5,7,6)"),
+], ids=["circular", "directed"])
+def test_a_one_shot_dist_searches_without_numpy(model, target):
+    # no cache and no --strategy: one bidirectional search, not the n! table
+    assert _cli_report("dist", "--model", model, "e", target) == "False -"
 
 
 PUBLIC_NAMES = """
