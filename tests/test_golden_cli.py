@@ -90,6 +90,7 @@ CASES = [
     ["classify", "--model", "sym-circular:6", "--relation", "iso", "--all"],
     ["classify", "--model", "sym-custom:5:(1,2);(1,2,3,4,5)", "--relation", "iso", "--all"],
     ["classify", "--model", "sym-circular:5", "--relation", "iso", "--all", "--iso-cap", "6"],
+    ["classify", "--model", "sym-circular:5", "--relation", "iso", "--all", "--iso-cap", "-1"],
     ["census", "--model", "cyclic:9", "--figure", "6"],
     ["census", "--model", "cyclic:7:semigroup", "--relation", "length", "--format", "json"],
     ["classify", "--model", "cyclic:8:semigroup", "--relation", "paths", "--all"],
