@@ -445,11 +445,18 @@ def test_cache_rejects_damage(tmp_path):
 
 
 def _damage_s6_lengths(case):
-    """S6 circular lengths edited so that exactly one sweep check fails first.
+    """Circular S6 lengths with one kind of damage, checksummed as valid.
 
     Rank 450 is the unique antipode (distance 9, all six neighbours at 8),
     rank 120 is the identity's neighbour along generator 0, and generator 0
     is a transposition, so ranks 5 and 125 form one of its 2-cycles.
+
+    - identity: the identity stores 1;
+    - second zero: the antipode stores 0;
+    - jump: the identity's neighbour stores 3;
+    - unreached successor: the 2-cycle stores 254 and UNREACHED;
+    - unreached antipode: the antipode stores UNREACHED;
+    - no predecessor: the antipode stores 8, as all its neighbours do.
     """
     lengths = DistanceOracle(circular_model(6), "table").lengths.copy()
     if case == "identity":
@@ -467,13 +474,15 @@ def _damage_s6_lengths(case):
     return lengths
 
 
+# the first rank in rank order where the equation fails, which may be a
+# neighbour of the damaged rank (rank 330 steps onto the zero at 450)
 SWEEP_ERRORS = {
-    "identity": "identity distance is 1, not 0",
-    "second zero": "multiple zero entries",
-    "jump": "distance jump along generator 0",
-    "unreached successor": "reached element with unreached successor",
-    "unreached antipode": "reached element with unreached successor",
-    "no predecessor": "element with no predecessor one step closer",
+    "identity": "rank 0 stores 1, the distance equation gives 0",
+    "second zero": "rank 330 stores 8, the distance equation gives 1",
+    "jump": "rank 120 stores 3, the distance equation gives 1",
+    "unreached successor": "rank 5 stores 254, the distance equation gives 3",
+    "unreached antipode": "rank 450 stores 255, the distance equation gives 9",
+    "no predecessor": "rank 450 stores 8, the distance equation gives 9",
 }
 
 
@@ -485,6 +494,32 @@ def test_verify_sweep_refuses_a_checksummed_bad_table(tmp_path, case):
     load_table_cache(model, path)  # the header and CRC are valid
     with pytest.raises(CacheError, match=f": {SWEEP_ERRORS[case]}$"):
         verify_table_cache(model, path)
+
+
+def test_verify_refuses_every_single_rank_damage_on_s5(tmp_path):
+    """Each rank of three S5 tables set to 0, 1, l - 1, l + 1, 254 and 255 in
+    turn: every changed table is refused and every dict-BFS table passes,
+    the subgroup's with its unreachable ranks included."""
+    models = (
+        circular_model(5),
+        custom_model(5, ["(1,2)", "(1,2,3,4,5)"]),
+        custom_model(5, ["(1,2,3)", "(4,5)"], require_generating=False),
+    )
+    damaged = 0
+    for model in models:
+        good = np.array(_dict_bfs_by_rank(model), dtype=np.uint8)
+        path = cache_path(model, tmp_path)
+        save_table_cache(model, good, path)
+        verify_table_cache(model, path)
+        for r, l in enumerate(good.tolist()):
+            for v in sorted(({0, 1, l - 1, l + 1, 254, UNREACHED} - {l}) & set(range(256))):
+                lengths = good.copy()
+                lengths[r] = v
+                save_table_cache(model, lengths, path)
+                with pytest.raises(CacheError, match=r": rank \d+ stores \d+, the distance"):
+                    verify_table_cache(model, path)
+                damaged += 1
+    assert damaged == 1771
 
 
 def test_cache_refuses_a_version_1_file(tmp_path):
@@ -641,4 +676,9 @@ def test_table_build_and_verify_rank_no_permutation(tmp_path, monkeypatch):
     oracle = DistanceOracle(model, "table")
     assert oracle.lengths.tolist() == want
     path = save_table_cache(model, oracle.lengths, cache_path(model, tmp_path))
+
+    def no_bfs(*args, **kwargs):
+        raise AssertionError("verify ran the BFS that wrote the table")
+
+    monkeypatch.setattr(cayley, "_bfs_table", no_bfs)
     verify_table_cache(model, path)

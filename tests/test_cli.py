@@ -313,7 +313,7 @@ def test_cache_verify_refuses_a_checksummed_table_with_a_jump(tmp_path, capsys):
     _, verify_argv = _cache_readers(tmp_path)
     code, out, err = _run(capsys, verify_argv)
     assert code == 4 and out == ""
-    assert err == f"error: {path}: distance jump along generator 0\n"
+    assert err == f"error: {path}: rank 120 stores 3, the distance equation gives 1\n"
 
 
 def test_cache_build_under_a_regular_file_exits_4(tmp_path, capsys):
