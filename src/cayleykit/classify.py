@@ -55,6 +55,8 @@ def classify(
     """Partition elements by the chosen interval invariant."""
     if relation not in RELATIONS:
         raise ModelError(f"unknown relation {relation!r}; pick one of {RELATIONS}")
+    if iso_size_cap < 0:
+        raise ModelError(f"iso cap must be nonnegative, got {iso_size_cap}")
     model = oracle.model
     ident = model.identity
     elements = [model.check_element(g) for g in elements]

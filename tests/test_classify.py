@@ -80,6 +80,14 @@ def test_classify_iso_cap_routes_to_unclassified():
     assert result.classes == [[model.parse_element("(1,2)")]]
 
 
+def test_classify_refuses_a_negative_iso_cap():
+    model = circular_model(4)
+    with pytest.raises(ModelError, match="iso cap must be nonnegative, got -1"):
+        classify(_oracle(model), [model.identity], "iso", iso_size_cap=-1)
+    zero_cap = classify(_oracle(model), [model.identity], "iso", iso_size_cap=0)
+    assert zero_cap.unclassified == [model.identity]
+
+
 def test_classify_rejects_unknown_relations():
     model = circular_model(4)
     with pytest.raises(ModelError):
