@@ -313,10 +313,8 @@ def cmd_median(args) -> int:
     model = oracle.model
     corners = [model.parse_element(s) for s in (args.c0, args.c1, args.c2)]
     triangle = make_triangle(model, *corners)
-    check = args.parity_check or (
-        isinstance(model, SymmetricModel) and model.kind == "circular"
-    )
-    report = median_report(oracle, triangle, parity_check=check)
+    circular = isinstance(model, SymmetricModel) and model.kind == "circular"
+    report = median_report(oracle, triangle, parity_check=circular)
     if args.format == "json":
         _emit_json(report)
         return 0
@@ -473,11 +471,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("c0")
     p.add_argument("c1")
     p.add_argument("c2")
-    p.add_argument(
-        "--parity-check",
-        action="store_true",
-        help="require the even pairwise-distance check (circular sets only)",
-    )
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(handler=cmd_median)
 

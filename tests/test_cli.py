@@ -155,12 +155,10 @@ def test_median_default_json_matches_documented_example(capsys):
     assert data["parity_ok"] is True
     assert data["weight"] == 6
     assert data["medians"]
-    code, _, err = _run(
-        capsys,
-        ["median", "--model", "z2", "(0,0)", "(4,0)", "(0,4)", "--parity-check"],
-    )
-    assert code == 3
-    assert "circular" in err
+    # the parity law is checked on circular sets only, with no flag to ask for it
+    code, out, _ = _run(capsys, ["median", "--model", "z2", "(0,0)", "(4,0)", "(0,4)"])
+    assert code == 0
+    assert json.loads(out)["parity_ok"] is None
 
 
 @pytest.mark.parametrize(
