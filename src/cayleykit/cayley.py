@@ -9,6 +9,9 @@ search runs from g and h over permutations held as bytes, one bytes.translate
 per step, and answers one query faster than a table builds, so the CLI's
 `dist` searches unless a table cache exists or `--strategy table` is named.
 
+A `.cayd` cache holds one distance byte per rank.  `verify_table_cache`
+checks it against the equation that defines BFS distances, with no BFS.
+
 numpy loads only when an array is first built or scanned: analytic and
 bidirectional queries, and table queries on a cached table, never load it.
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import re
 import struct
 import zlib
 from dataclasses import dataclass
@@ -405,9 +409,7 @@ def generator_text(model: GroupModel) -> str:
 
 
 def cache_path(model: GroupModel, cache_dir) -> Path:
-    import re as _re
-
-    stem = _re.sub(r"[^A-Za-z0-9._-]+", "-", model.name)
+    stem = re.sub(r"[^A-Za-z0-9._-]+", "-", model.name)
     return Path(cache_dir) / f"{stem}.cayd"
 
 
