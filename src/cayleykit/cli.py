@@ -43,7 +43,7 @@ from .errors import (
     ModelError,
     UnreachableError,
 )
-from .groups import SymmetricModel, parse_model
+from .groups import parse_model
 
 MODEL_HELP = (
     "model descriptor: sym-circular:N, sym-adjacent:N, "
@@ -310,11 +310,8 @@ def cmd_median(args) -> int:
     from .median import make_triangle, median_report
 
     oracle = _oracle(args)
-    model = oracle.model
-    corners = [model.parse_element(s) for s in (args.c0, args.c1, args.c2)]
-    triangle = make_triangle(model, *corners)
-    circular = isinstance(model, SymmetricModel) and model.kind == "circular"
-    report = median_report(oracle, triangle, parity_check=circular)
+    triangle = make_triangle(oracle.model, args.c0, args.c1, args.c2)
+    report = median_report(oracle, triangle)
     if args.format == "json":
         _emit_json(report)
         return 0

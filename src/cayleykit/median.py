@@ -8,11 +8,12 @@ median (minimizer of the summed distance to the corners) lies in the interior,
 so an exhaustive interior scan is exact.  The theorem needs a symmetric
 metric, so a generating set that is not inverse-closed is refused.
 
-Table oracles (symmetric models, n <= 9) read everything from three distance
-vectors over all n! ranks, D_i[x] = d(c_i, x): delta_i is the least D_i where
-D_j + D_k = d(c_j, c_k), and the interior is where every D_i <= delta_i.
-Every other strategy (closed forms, bidirectional search past the table
-limit) builds the intervals and scans the smallest ball element by element.
+One filter finds the interior in three distance columns D_i[x] = d(c_i, x)
+over a candidate list: x is inside where every D_i <= delta_i.  Table oracles
+(symmetric models, n <= 9) take all n! ranks as candidates, and delta_i is
+the least D_i where D_j + D_k = d(c_j, c_k).  Every other strategy (closed
+forms, bidirectional search past the table limit) takes delta_i from the
+built intervals and the smallest corner ball as candidates.
 """
 
 from __future__ import annotations
@@ -104,56 +105,45 @@ class InteriorRegion:
         return len(self.elements)
 
 
+def _ball_vectors(oracle: DistanceOracle, triangle: Triangle):
+    """The smallest corner ball, sorted, D_i over it, the sides and the radii."""
+    e, n1, n2 = corners = triangle.normalized
+    radii = deltas(oracle, triangle)
+    sides = (oracle.distance(n1, n2), oracle.distance(e, n2), oracle.distance(e, n1))
+    pivot = radii.index(min(radii))
+    candidates = sorted(oracle.ball(corners[pivot], radii[pivot]))
+    vecs = tuple(np.array([oracle.unchecked_distance(c, x) for x in candidates]) for c in corners)
+    return candidates, vecs, sides, radii
+
+
 def interior(oracle: DistanceOracle, triangle: Triangle) -> InteriorRegion:
-    """Intersection of the three closed corner balls, scanned exhaustively."""
+    """Intersection of the three closed corner balls, in candidate order.
+
+    Candidates are all ranks or the sorted smallest ball; rank order is
+    lexicographic tuple order, the order of sorted().
+    """
     _require_symmetric(triangle)
     if oracle.strategy == "table":
-        return _table_interior(oracle, triangle)
-    corners = triangle.normalized
-    radii = deltas(oracle, triangle)
-    pivot = min(range(3), key=lambda i: radii[i])
-    candidates = oracle.ball(corners[pivot], radii[pivot])
-    # half the perimeter floors the weight under a symmetric metric
-    perimeter = (
-        oracle.distance(corners[0], corners[1])
-        + oracle.distance(corners[1], corners[2])
-        + oracle.distance(corners[0], corners[2])
-    )
-    bound = (perimeter + 1) // 2
-    records = {}
-    for x in sorted(candidates):
-        dists = tuple(oracle.unchecked_distance(c, x) for c in corners)
-        weight = sum(dists)
-        if weight < bound:
-            raise _inconsistent(weight, bound)
-        if all(dists[i] <= radii[i] for i in range(3)):
-            records[x] = (*dists, weight)
-    return InteriorRegion(triangle, radii, list(records), records)
-
-
-def _table_interior(oracle: DistanceOracle, triangle: Triangle) -> InteriorRegion:
-    """interior() from three distance vectors; elements come out in rank order.
-
-    Rank order is lexicographic tuple order, the order of the scan's sorted().
-    """
-    vecs, sides, radii = _table_vectors(oracle, triangle)
+        vecs, sides, radii = _table_vectors(oracle, triangle)
+        elements_at = lambda rows: list(map(tuple, oracle.perms[rows].tolist()))
+    else:
+        candidates, vecs, sides, radii = _ball_vectors(oracle, triangle)
+        elements_at = lambda rows: [candidates[i] for i in rows.tolist()]
     pivot = radii.index(min(radii))
     weight = vecs[0] + vecs[1] + vecs[2]
+    # half the perimeter floors the weight under a symmetric metric
     bound = (sum(sides) + 1) // 2
     low = np.flatnonzero((vecs[pivot] <= radii[pivot]) & (weight < bound))
     if low.size:
-        raise _inconsistent(int(weight[low[0]]), bound)
+        raise InvariantError(
+            f"weight {weight[low[0]]} beats the half-perimeter bound {bound}; "
+            "the metric is inconsistent"
+        )
     inside = np.flatnonzero((vecs[0] <= radii[0]) & (vecs[1] <= radii[1]) & (vecs[2] <= radii[2]))
-    elements = list(map(tuple, oracle.perms[inside].tolist()))
+    elements = elements_at(inside)
     columns = (v[inside].tolist() for v in (*vecs, weight))
     records = dict(zip(elements, zip(*columns)))
     return InteriorRegion(triangle, radii, elements, records)
-
-
-def _inconsistent(weight: int, bound: int) -> InvariantError:
-    return InvariantError(
-        f"weight {weight} beats the half-perimeter bound {bound}; the metric is inconsistent"
-    )
 
 
 def steiner_weight(oracle: DistanceOracle, h, triangle: Triangle) -> int:
@@ -187,12 +177,16 @@ def medians(oracle: DistanceOracle, triangle: Triangle) -> MedianResult:
     return _minimizers(interior(oracle, triangle))
 
 
+def _is_circular(model: GroupModel) -> bool:
+    return isinstance(model, SymmetricModel) and model.kind == "circular"
+
+
 def median_parity_check(
     oracle: DistanceOracle, triangle: Triangle, result: MedianResult | None = None
 ) -> bool:
     """Pairwise distances between medians are even under a circular set."""
     model = triangle.model
-    if not (isinstance(model, SymmetricModel) and model.kind == "circular"):
+    if not _is_circular(model):
         raise CapabilityError(
             f"the parity law is stated for circular generating sets, not {model.name}"
         )
@@ -203,21 +197,18 @@ def median_parity_check(
     )
 
 
-def median_report(oracle: DistanceOracle, triangle: Triangle, parity_check: bool = False) -> dict:
-    """JSON-ready report of the median computation in original coordinates."""
+def median_report(oracle: DistanceOracle, triangle: Triangle) -> dict:
+    """JSON-ready report in original coordinates; parity_ok is None off circular sets."""
     model = triangle.model
     fmt = model.format_element
     region = interior(oracle, triangle)
     result = _minimizers(region)
-    report = {
+    return {
         "model": model.name,
         "corners": [fmt(c) for c in triangle.corners],
         "deltas": list(region.deltas),
         "interior_size": result.interior_size,
         "weight": result.weight,
         "medians": [fmt(x) for x in result.minimizers],
-        "parity_ok": None,
+        "parity_ok": median_parity_check(oracle, triangle, result) if _is_circular(model) else None,
     }
-    if parity_check:
-        report["parity_ok"] = median_parity_check(oracle, triangle, result)
-    return report

@@ -208,14 +208,15 @@ def test_median_report_shape():
     model = circular_model(5)
     oracle = build_oracle(model)
     tri = make_triangle(model, "e", "(1,3)", "(2,4,5)")
-    report = median_report(oracle, tri, parity_check=True)
+    report = median_report(oracle, tri)
     assert report["model"] == "sym-circular:5"
     assert report["corners"] == ["e", "(1,3)", "(2,4,5)"]
-    assert report["parity_ok"] is True
+    assert report["parity_ok"] is True  # the model is circular, so the law is checked
     assert report["weight"] == 6
     assert isinstance(report["interior_size"], int)
     assert report["medians"]
-    silent = median_report(oracle, tri)
+    model = adjacent_model(5)
+    silent = median_report(build_oracle(model), make_triangle(model, "e", "(1,3)", "(2,4,5)"))
     assert silent["parity_ok"] is None
 
 
@@ -324,6 +325,25 @@ def test_an_inconsistent_table_trips_the_half_perimeter_bound():
     model = circular_model(4)
     oracle = build_oracle(model)
     oracle.lengths[perm_rank(model.parse_element("(3,4)"))] = 0  # a second zero
+    for corners, message in [
+        (("e", "(3,4)", "(2,3)"), "weight 1 beats the half-perimeter bound 2"),
+        (("e", "(3,4)", "(1,2,3)"), "weight 2 beats the half-perimeter bound 3"),
+    ]:
+        with pytest.raises(InvariantError, match=re.escape(message)):
+            interior(oracle, make_triangle(model, *corners))
+
+
+def test_an_inconsistent_scan_trips_the_half_perimeter_bound():
+    # the table test's metric on the ball path: d(x, y) = 0 wherever x^-1 y = (3,4)
+    model = circular_model(4)
+    oracle = DistanceOracle(model, "bidirectional")
+    swap = model.parse_element("(3,4)")
+    true_distance = oracle.unchecked_distance
+
+    def distance(x, y):
+        return 0 if model.multiply(model.inverse(x), y) == swap else true_distance(x, y)
+
+    oracle.unchecked_distance = distance
     for corners, message in [
         (("e", "(3,4)", "(2,3)"), "weight 1 beats the half-perimeter bound 2"),
         (("e", "(3,4)", "(1,2,3)"), "weight 2 beats the half-perimeter bound 3"),
