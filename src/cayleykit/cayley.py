@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import re
 import struct
 import zlib
 from dataclasses import dataclass
@@ -183,12 +182,12 @@ class DistanceOracle:
         model = self.model
         gens = model.generating_set.generators
         frontier = [model.check_element(g)]
-        seen = dict.fromkeys(frontier, 0)
-        for depth in range(1, radius + 1):
-            frontier = _bfs_layer(frontier, seen, gens, depth, model.multiply)
+        seen = set(frontier)
+        for _ in range(radius):
+            frontier = _bfs_layer(frontier, seen, gens, model.multiply)
             if not frontier:
                 break
-        return set(seen)
+        return seen
 
     def geodesics(self, g, h, enumerate_words: bool = False, cap: int = DEFAULT_WORD_CAP) -> GeodesicSet:
         """All geodesic words from g to h; count stays exact when words are capped.
@@ -337,8 +336,8 @@ def _bfs_table(gen_tables: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _bfs_layer(frontier: list, seen: dict, steps, depth: int, step, meet=()) -> list | None:
-    """The unseen step(x, s), x in frontier, s in steps, entered at depth; None at one in meet."""
+def _bfs_layer(frontier: list, seen: set, steps, step, meet=()) -> list | None:
+    """The unseen step(x, s), x in frontier, s in steps, added to seen; None at one in meet."""
     layer = []
     for x in frontier:
         for s in steps:
@@ -346,13 +345,13 @@ def _bfs_layer(frontier: list, seen: dict, steps, depth: int, step, meet=()) -> 
             if y not in seen:
                 if y in meet:
                     return None
-                seen[y] = depth
+                seen.add(y)
                 layer.append(y)
     return layer
 
 
 def _bidirectional_distance(model: SymmetricModel, g, h) -> int:
-    """d(g, h) by BFS from both ends over permutations held as bytes (dict keys).
+    """d(g, h) by BFS from both ends over permutations held as bytes (set members).
 
     x.translate(bytes(s) + bytes(range(n, 256))) is x*s (x, then s), in C; the
     backward side steps by the inverse generators.  While fwd and bwd hold all
@@ -366,15 +365,15 @@ def _bidirectional_distance(model: SymmetricModel, g, h) -> int:
     fwd_steps = [bytes(s) + pad for s in gens]
     bwd_steps = [bytes(model.inverse(s)) + pad for s in gens]
     fwd_frontier, bwd_frontier = [bytes(g)], [bytes(h)]
-    fwd, bwd = dict.fromkeys(fwd_frontier, 0), dict.fromkeys(bwd_frontier, 0)
+    fwd, bwd = set(fwd_frontier), set(bwd_frontier)
     df = db = 0
     while fwd_frontier and bwd_frontier:
         if len(fwd_frontier) <= len(bwd_frontier):
             df += 1
-            fwd_frontier = _bfs_layer(fwd_frontier, fwd, fwd_steps, df, bytes.translate, bwd)
+            fwd_frontier = _bfs_layer(fwd_frontier, fwd, fwd_steps, bytes.translate, bwd)
         else:
             db += 1
-            bwd_frontier = _bfs_layer(bwd_frontier, bwd, bwd_steps, db, bytes.translate, fwd)
+            bwd_frontier = _bfs_layer(bwd_frontier, bwd, bwd_steps, bytes.translate, fwd)
     if fwd_frontier is None or bwd_frontier is None:
         return df + db
     raise UnreachableError(
@@ -408,9 +407,13 @@ def generator_text(model: GroupModel) -> str:
     return ";".join(model.format_element(s) for s in model.generating_set)
 
 
+# One file-name character per model-name character, so distinct models get
+# distinct files; a cycle's ")" is implied by the "(", ";" or end after it.
+_FILE_NAME = str.maketrans({":": "-", ",": ".", ";": "+", "(": "_", ")": None})
+
+
 def cache_path(model: GroupModel, cache_dir) -> Path:
-    stem = re.sub(r"[^A-Za-z0-9._-]+", "-", model.name)
-    return Path(cache_dir) / f"{stem}.cayd"
+    return Path(cache_dir) / f"{model.name.translate(_FILE_NAME)}.cayd"
 
 
 def default_cache_dir() -> Path | None:

@@ -26,6 +26,7 @@ from cayleykit import (
     z2_model,
 )
 from cayleykit.cayley import DistanceOracle, _generator_tables
+from cayleykit.intervals import GradedInterval, order_isomorphic
 from cayleykit.ranking import perm_unrank
 
 classify_module = importlib.import_module("cayleykit.classify")  # the package exports classify()
@@ -78,6 +79,33 @@ def test_classify_iso_cap_routes_to_unclassified():
     result = classify(oracle, elements, "iso", iso_size_cap=10)
     assert result.unclassified == [model.parse_element("(1,3)(2,4)")]
     assert result.classes == [[model.parse_element("(1,2)")]]
+
+
+def _middle_cycles(model, cycle_length):
+    """Profile (1, 6, 6, 1); ranks 1 and 2 joined by 2-regular cycles of one length."""
+    lower, upper = [f"a{i}" for i in range(6)], [f"c{i}" for i in range(6)]
+    half = cycle_length // 2
+    edges = [("e", 0, a) for a in lower]  # grade by grade, as grade_walk yields them
+    for i, a in enumerate(lower):
+        start = i - i % half
+        edges += [(a, 0, upper[i]), (a, 0, upper[start + (i + 1 - start) % half])]
+    edges += [(c, 0, "top") for c in upper]
+    rank_sets = [["e"], lower, upper, ["top"]]
+    element_rank = {x: r for r, grade in enumerate(rank_sets) for x in grade}
+    return GradedInterval(model, "e", "top", 3, rank_sets, edges, element_rank)
+
+
+def test_classify_splits_an_iso_profile_bucket(monkeypatch):
+    # one 12-cycle against two 6-cycles: every cheap invariant agrees, the orders differ
+    model = cyclic_model(5)
+    ring, pair = _middle_cycles(model, 12), _middle_cycles(model, 6)
+    assert classify_module._iso_profile(ring) == classify_module._iso_profile(pair)
+    assert not order_isomorphic(ring, pair)
+    assert order_isomorphic(ring, ring) and order_isomorphic(pair, pair)
+    intervals = {1: ring, 2: pair, 3: ring}
+    monkeypatch.setattr(classify_module, "build_interval", lambda oracle, e, g: intervals[g])
+    result = classify(_oracle(model), [1, 2, 3], "iso")
+    assert result.classes == [[1, 3], [2]]
 
 
 def test_classify_refuses_a_negative_iso_cap():

@@ -323,6 +323,20 @@ def test_cache_build_under_a_regular_file_exits_4(tmp_path, capsys):
     assert err == f"error: {blocker / 'sub' / 'sym-circular-5.cayd'}: cannot write: Not a directory\n"
 
 
+def test_custom_sets_that_differ_only_in_separators_keep_separate_caches(tmp_path, capsys):
+    # the names once both mapped to sym-custom-5-1-2-3-4-5-1-3-.cayd
+    models = {"sym-custom:5:(1,2)(3,4,5);(1,3)": "3\n", "sym-custom:5:(1,2);(3,4,5);(1,3)": "1\n"}
+    (tmp_path / "sym-custom-5-1-2-3-4-5-1-3-.cayd").write_bytes(b"a cache under the old name")
+    for name in models:
+        assert _run(capsys, ["cache", "build", "--model", name, "--cache-dir", str(tmp_path)])[0] == 0
+    for name, want in models.items():
+        argv = ["dist", "--model", name, "--cache-dir", str(tmp_path), "e", "(1,2)"]
+        assert _run(capsys, argv) == (0, want, "")
+        argv = ["cache", "verify", "--model", name, "--cache-dir", str(tmp_path)]
+        assert _run(capsys, argv)[0] == 0
+    assert len(list(tmp_path.iterdir())) == 3
+
+
 @pytest.mark.parametrize("command", ["dist", "verify", "build"])
 def test_cache_file_that_is_a_directory_exits_4(tmp_path, capsys, command):
     path = tmp_path / "sym-circular-5.cayd"
