@@ -24,7 +24,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import combinations, islice
 from math import comb, factorial
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -192,8 +192,8 @@ class DistanceOracle:
     def geodesics(self, g, h, enumerate_words: bool = False, cap: int = DEFAULT_WORD_CAP) -> GeodesicSet:
         """All geodesic words from g to h; count stays exact when words are capped.
 
-        Z^2 counts are closed-form, C(|dx|+|dy|, |dx|); other models count paths
-        over the cover edges of the built interval [g, h].
+        Z^2 counts and words are closed-form.  Other models take both from the
+        cover edges of the built interval [g, h], with no further distance call.
         """
         if cap < 0:
             raise ModelError(f"cap must be nonnegative, got {cap}")
@@ -201,48 +201,26 @@ class DistanceOracle:
         if isinstance(self.model, FreeAbelianModel):
             total = self.unchecked_distance(g, h)
             count = comb(total, abs(h[0] - g[0]))
+            words = _z2_words(h[0] - g[0], h[1] - g[1])
         else:
-            from .intervals import build_interval, count_geodesics
+            from .intervals import build_interval, count_geodesics, geodesic_words
 
             interval = build_interval(self, g, h)
             total, count = interval.length, count_geodesics(interval)
-        words = ()
-        if enumerate_words:
-            words = tuple(islice(self._geodesic_words(g, h, total), cap))
+            words = geodesic_words(interval)
+        words = tuple(islice(words, cap)) if enumerate_words else ()
         return GeodesicSet(g, h, total, count, words, enumerate_words and count > cap)
 
-    def _geodesic_words(self, g, h, total: int):
-        """Geodesic words from g to h, lexicographic in generator index (explicit-stack DFS).
 
-        Every word reaches an element x at depth d(g, x), so x's steps toward h
-        depend on x alone; each element's are found on its first visit.
-        """
-        model = self.model
-        gens = model.generating_set.generators
-        steps_of: dict = {}  # x -> the (j, x*s_j) one step closer to h, in generator order
-        word: list[int] = []
-        stack = [(g, 0)]  # stack[i]: (element reached by word[:i], index of its next step)
-        while stack:
-            x, i = stack[-1]
-            if len(word) == total:
-                yield tuple(word)
-            if x not in steps_of:
-                rest = total - len(word) - 1
-                steps_of[x] = [
-                    (j, y)
-                    for j, s in enumerate(gens)
-                    if self.unchecked_distance(y := model.multiply(x, s), h) == rest
-                ]
-            steps = steps_of[x]
-            if i == len(steps):
-                stack.pop()
-                if stack:
-                    word.pop()
-                continue
-            stack[-1] = (x, i + 1)
-            j, y = steps[i]
-            word.append(j)
-            stack.append((y, 0))
+def _z2_words(dx: int, dy: int):
+    """Z^2 geodesic words in lexicographic order: combinations of the lower letter's places."""
+    (low, k), (high, _) = sorted(((0 if dx >= 0 else 2, abs(dx)), (1 if dy >= 0 else 3, abs(dy))))
+    total = abs(dx) + abs(dy)
+    for places in combinations(range(total), k):
+        word = [high] * total
+        for i in places:
+            word[i] = low
+        yield tuple(word)
 
 
 # which models each strategy serves; the default is the first that applies

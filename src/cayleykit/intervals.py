@@ -148,6 +148,26 @@ def count_geodesics(interval: GradedInterval) -> int:
     return counts.get(interval.top, 0)
 
 
+def geodesic_words(interval: GradedInterval):
+    """Geodesic words (cover paths) from bottom to top, lexicographic in generator index.
+
+    grade_walk emits each element's cover edges in generator order, so a stack DFS
+    pushes them reversed and pops the lowest first; only the top has no edge out.
+    """
+    steps_of: dict = {}  # x -> (y, grade of x, (j,)) per cover step x -> x*s_j, reversed
+    for x, j, y in reversed(interval.cover_edges):
+        steps_of.setdefault(x, []).append((y, interval.element_rank[x], (j,)))
+    word: list[int] = []
+    stack = [(interval.bottom, 0, ())]
+    while stack:
+        x, i, step = stack.pop()
+        word[i:] = step  # a step out of grade i is letter i of the word
+        if x in steps_of:
+            stack.extend(steps_of[x])
+        else:
+            yield tuple(word)
+
+
 def max_antichain(interval: GradedInterval) -> int:
     """Width of the interval: the size of its largest antichain.
 

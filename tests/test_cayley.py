@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from itertools import permutations, product
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -299,6 +299,43 @@ def test_enumerated_z2_words_are_every_geodesic_word():
             d, words = brute[h]
             gs = oracle.geodesics(g, h, enumerate_words=True)
             assert (gs.distance, gs.count, gs.words) == (d, len(words), tuple(words))
+    # a box far too large to walk: the cap bounds the work, and the count stays exact
+    gs = oracle.geodesics((0, 0), (40, -40), enumerate_words=True, cap=3)
+    assert gs.words == (
+        (0,) * 40 + (3,) * 40,
+        (0,) * 39 + (3, 0) + (3,) * 39,
+        (0,) * 39 + (3, 3, 0) + (3,) * 38,
+    )
+    assert gs.truncated and gs.count == comb(80, 40)
+
+
+@pytest.mark.parametrize(
+    "spec, g, h",
+    [
+        ("sym-circular:6", "e", "(1,4)(2,5)(3,6)"),
+        ("sym-custom:5:(1,2);(1,2,3,4,5)", "e", "(1,5,2,4)"),
+        ("cyclic:7:semigroup", "1", "0"),
+        ("z2", "(2,-1)", "(-3,4)"),
+    ],
+)
+def test_enumerating_words_makes_no_distance_call_of_its_own(monkeypatch, spec, g, h):
+    model = parse_model(spec)
+    oracle = build_oracle(model)
+    g, h = model.parse_element(g), model.parse_element(h)
+    calls = 0
+    unchecked_distance = DistanceOracle.unchecked_distance
+
+    def counted(self, x, y):
+        nonlocal calls
+        calls += 1
+        return unchecked_distance(self, x, y)
+
+    monkeypatch.setattr(DistanceOracle, "unchecked_distance", counted)
+    counted_only = oracle.geodesics(g, h)
+    count_calls, calls = calls, 0
+    enumerated = oracle.geodesics(g, h, enumerate_words=True)
+    assert calls == count_calls > 0
+    assert len(enumerated.words) == enumerated.count == counted_only.count
 
 
 def _lattice_paths(dx, dy):
