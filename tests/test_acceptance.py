@@ -178,16 +178,16 @@ def test_criterion_8_oracle_equivalence_and_membership():
     small = circular_model(5)
     oracle = build_oracle(small)
     everyone = list(small.elements())
-    for g in everyone:
-        for h in everyone:
-            d = oracle.distance(g, h)
+    dist = [[oracle.distance(g, h) for h in everyone] for g in everyone]
+    for a, g in enumerate(everyone):
+        for b, h in enumerate(everyone):
+            d = dist[a][b]
             if d > 4:
                 continue
             members = {x for rs in build_interval(oracle, g, h).rank_sets for x in rs}
-            for x in everyone:
-                assert (x in members) == (
-                    oracle.distance(g, x) + oracle.distance(x, h) == d
-                )
+            assert members == {
+                x for c, x in enumerate(everyone) if dist[a][c] + dist[c][b] == d
+            }
 
 
 def test_criterion_9_left_invariance_and_parity():
