@@ -84,6 +84,8 @@ CASES = [
     ["census", "--model", "sym-circular:7", "--figure", "6"],
     ["census", "--model", "sym-adjacent:7", "--figure", "6"],
     ["census", "--model", "sym-custom:6:(1,2);(1,2,3,4,5,6)", "--figure", "6"],
+    ["census", "--model", "sym-circular:8", "--figure", "6"],
+    ["census", "--model", "sym-custom:8:(1,2);(1,2,3,4,5,6,7,8)", "--figure", "6"],
     ["census", "--figure", "6", "--workers", "2", "--model", "sym-circular:6"],
     ["normaliser", "--model", "sym-adjacent:6", "--enumerate"],
     ["normaliser", "--model", "sym-custom:6:(1,2);(1,2,3,4,5,6)", "--enumerate"],
