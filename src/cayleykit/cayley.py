@@ -249,16 +249,14 @@ def build_oracle(model: GroupModel, strategy: str | None = None, cache_dir=None)
     return DistanceOracle(model, strategy, cache_dir)
 
 
-def _generator_tables(model: SymmetricModel, perms=None) -> np.ndarray:
-    """Rank-indexed right multiplication: tables[j][r] = rank(perm_r * perms[j]).
+def _generator_tables(model: SymmetricModel) -> np.ndarray:
+    """Rank-indexed right multiplication: tables[j][r] = rank(perm_r * s_j).
 
-    perms defaults to the generators; any batch of permutations of the
-    model's n points works.  Built from the block structure of rank order,
-    with no permutation ranked.  Block v of S_k (ranks v*(k-1)! onward) is v
-    followed by the other values arranged as S_(k-1) in rank order.
-    Relabelling the values by s sends block v to block s(v), where it acts on
-    S_(k-1) as the compressed permutation
-    s_v(i) = s(rest_v[i]) - [s(rest_v[i]) > s(v)], so
+    Built from the block structure of rank order, with no permutation
+    ranked.  Block v of S_k (ranks v*(k-1)! onward) is v followed by the
+    other values arranged as S_(k-1) in rank order.  Relabelling the
+    values by s sends block v to block s(v), where it acts on S_(k-1) as the
+    compressed permutation s_v(i) = s(rest_v[i]) - [s(rest_v[i]) > s(v)], so
 
         table_k(s) = concat over v of (s(v) * (k-1)! + table_(k-1)(s_v)).
 
@@ -268,9 +266,7 @@ def _generator_tables(model: SymmetricModel, perms=None) -> np.ndarray:
     """
     import numpy as np
 
-    if perms is None:
-        perms = model.generating_set.generators
-    perms = np.asarray(perms, dtype=np.uint8)
+    perms = np.array(model.generating_set.generators, dtype=np.uint8)
     levels = []  # per k from n down to 2: (the S_k perms, index of each s_v one level down)
     for k in range(model.n, 1, -1):
         m = len(perms)

@@ -15,16 +15,11 @@ from itertools import accumulate
 
 import numpy as np
 
-from .cayley import (DEFAULT_ISO_CAP, RELATIONS, UNREACHED, DistanceOracle, _generator_tables,
-                     build_oracle)
+from .cayley import (DEFAULT_ISO_CAP, RELATIONS, UNREACHED, DistanceOracle, build_oracle)
 from .errors import CapabilityError, ModelError
 from .groups import GroupModel, SymmetricModel
 from .intervals import GradedInterval, build_interval, count_geodesics, order_isomorphic
 from .ranking import all_perms_array, perm_unrank, rank_rows
-
-# the size census builds right-multiplication tables for this many entries at a time
-_TABLE_ENTRIES = 1 << 19
-
 
 @dataclass
 class Classification:
@@ -133,40 +128,49 @@ def _conjugating_ranks(perms: np.ndarray, gens, targets) -> np.ndarray:
     return ranks
 
 
-def _interval_sizes(oracle: DistanceOracle) -> np.ndarray:
-    """|[e, g]| for every rank (-1 where unreached), one membership count per orbit.
+def _orbit_minima(oracle: DistanceOracle) -> np.ndarray:
+    """The lowest rank of each rank's orbit under the conjugations that carry intervals.
 
     For pi in N(S), x -> pi^-1 x pi is a graph automorphism fixing e, so
     [e, g] and [e, pi^-1 g pi] are order-isomorphic.  For pi with
     pi^-1 S^-1 pi = S, a geodesic word s_1 ... s_k for g gives the word
     (pi^-1 s_k^-1 pi) ... (pi^-1 s_1^-1 pi) for pi^-1 g^-1 pi, so
     x -> pi^-1 g^-1 x pi maps [e, g] onto [e, pi^-1 g^-1 pi] with the order
-    reversed; when S is inverse-closed those pi are N(S) itself.  Each orbit
-    is represented by its lowest rank g, whose interval is counted as
-    |[e, g]| = #{y : l(y^-1) + l(y g) = l(g)}, reading l(y g) from the right
-    multiplication table of g.  Tables are built for batches of
-    representatives of at most _TABLE_ENTRIES entries in all.
+    reversed; when S is inverse-closed those pi are N(S) itself.
     """
-    model, perms, lengths = oracle.model, oracle.perms, oracle.lengths
-    gens = model.generating_set.generators
-    ranks = np.arange(len(lengths))
-    orbit_min = ranks.copy()
-    for source, inverted in ((gens, False), ([model.inverse(s) for s in gens], True)):
+    perms, gens = oracle.perms, oracle.model.generating_set.generators
+    orbit_min = np.arange(len(perms))
+    for source, inverted in ((gens, False), ([oracle.model.inverse(s) for s in gens], True)):
         for pi in perms[_conjugating_ranks(perms, source, gens)]:
             conj = rank_rows(pi[perms[:, np.argsort(pi)]])  # rank(pi^-1 perm_r pi)
             np.minimum(orbit_min, conj[oracle.inverse_ranks] if inverted else conj, out=orbit_min)
-    reps = np.flatnonzero((orbit_min == ranks) & (lengths != UNREACHED))
+    return orbit_min
 
-    dist16 = lengths.astype(np.int16)
-    dist_inv = dist16[oracle.inverse_ranks]
-    sizes = np.full(len(lengths), -1, dtype=np.int64)
-    batch = max(1, _TABLE_ENTRIES // len(lengths))
-    for start in range(0, len(reps), batch):
-        chunk = reps[start : start + batch]
-        # l(y g) for every y; np.take reads the int32 table without an intp copy
-        sums = np.take(dist16, _generator_tables(model, perms[chunk]))
-        sums += dist_inv
-        sizes[chunk] = np.count_nonzero(sums == dist16[chunk, None], axis=1)
+
+def _interval_sizes(oracle: DistanceOracle) -> np.ndarray:
+    """|[e, g]| for every rank (-1 where unreached), one graded walk per orbit.
+
+    The walk from each orbit's lowest rank g tracks z = y^-1 g for y in
+    [e, g], from z = g.  A cover y -> y s sends z to s^-1 z = (z^-1 s)^-1, read
+    from the generator tables, and stays in [e, g] iff l(s^-1 z) = l(z) - 1.
+    Each y lies on a geodesic from e and gives its own z, so |[e, g]| counts
+    the distinct z of every grade.  Representatives of one length walk together.
+    """
+    orbit_min = _orbit_minima(oracle)
+    lengths, tables, inverse = oracle.lengths, oracle.gen_tables, oracle.inverse_ranks
+    order = len(lengths)
+    reps = np.flatnonzero((orbit_min == np.arange(order)) & (lengths != UNREACHED))
+    sizes = np.full(order, -1, dtype=np.int64)
+    for length in np.unique(lengths[reps]).tolist():
+        group = reps[lengths[reps] == length]
+        keys = np.arange(len(group), dtype=np.int64) * order + group
+        sizes[group] = 1
+        for level in range(length, 0, -1):  # every z of this grade has l(z) = level
+            owner, z = np.divmod(keys, order)
+            left = inverse[tables[:, inverse[z]]]  # s^-1 z, one row per generator s
+            keep = lengths[left] == level - 1
+            keys = np.unique((owner * order + left)[keep])
+            sizes[group] += np.bincount(keys // order, minlength=len(group))
     return sizes[orbit_min]
 
 

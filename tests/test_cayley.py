@@ -665,20 +665,6 @@ def test_generator_tables_match_products_at_s8():
         _assert_tables_are_right_products(model)
 
 
-def test_generator_tables_of_arbitrary_batches_match_ranked_products():
-    rng = random.Random(77)
-    for n in (5, 6, 7):
-        model = circular_model(n)
-        perms = ranking.all_perms_array(n)
-        for size in (1, 3, 17):
-            batch = [tuple(range(n))] + [tuple(rng.sample(range(n), n)) for _ in range(size)]
-            tables = cayley._generator_tables(model, batch)
-            assert tables.shape == (len(batch), factorial(n))
-            for j, g in enumerate(batch):
-                want = ranking.rank_rows(np.array(g, dtype=np.uint8)[perms])
-                assert tables[j].tolist() == want.tolist(), (n, g)
-
-
 def _dict_bfs_by_rank(model):
     reached = _bfs_lengths(model)
     return [reached.get(p, UNREACHED) for p in permutations(range(model.n))]

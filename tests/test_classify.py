@@ -25,7 +25,7 @@ from cayleykit import (
     theorem1_check,
     z2_model,
 )
-from cayleykit.cayley import DistanceOracle, _generator_tables
+from cayleykit.cayley import DistanceOracle
 from cayleykit.intervals import GradedInterval, order_isomorphic
 from cayleykit.ranking import perm_unrank
 
@@ -166,17 +166,18 @@ def test_census_size_matches_interval_construction():
 
 
 def test_size_census_counts_one_interval_per_orbit(monkeypatch):
-    counted = []
-
-    def tables(model, perms=None):
-        counted.extend(map(tuple, perms.tolist()))
-        return _generator_tables(model, perms)
-
-    monkeypatch.setattr(classify_module, "_generator_tables", tables)
+    minima = []
+    orbit_minima = classify_module._orbit_minima
+    monkeypatch.setattr(
+        classify_module, "_orbit_minima", lambda oracle: minima.append(orbit_minima(oracle)) or minima[-1]
+    )
     # the directed set has a trivial normaliser, but (1,2)(3,6)(4,5) conjugates S^-1 onto S
     for model, orbits in ((circular_model(7), 260), (CENSUS_MODELS[3], 398)):
-        counted.clear()
+        minima.clear()
         assert census(model, "size").total == model.order
+        (orbit_min,) = minima
+        # the walk counts the intervals of the ranks that are their own orbit minimum
+        counted = [perm_unrank(r, model.n) for r, low in enumerate(orbit_min.tolist()) if r == low]
         gens = set(model.generating_set.generators)
         keep = [p for p in model.elements() if {model.conjugate(s, p) for s in gens} == gens]
         flip = [p for p in model.elements()

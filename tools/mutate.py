@@ -25,6 +25,9 @@ Known equivalent mutants, left off the list:
 - `dist_to_end(y) <= n - i` for `dist_to_end(y) == n - i` in
   `intervals.grade_walk`.  y is within i steps of the start, which is n
   from the end, so the triangle inequality gives dist_to_end(y) >= n - i.
+- `lengths[left] <= level - 1` or `lengths[left] < level` for
+  `lengths[left] == level - 1` in `classify._interval_sizes`.  z = s (s^-1 z)
+  gives l(s^-1 z) >= l(z) - 1 = level - 1, for directed sets too.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ MUTANTS = [
     # the size census without its order-reversing conjugators
     (
         "src/cayleykit/classify.py",
-        "for source, inverted in ((gens, False), ([model.inverse(s) for s in gens], True)):",
+        "for source, inverted in ((gens, False), ([oracle.model.inverse(s) for s in gens], True)):",
         "for source, inverted in ((gens, False),):",
         ["tests/test_classify.py"],
     ),
@@ -102,6 +105,20 @@ MUTANTS = [
         "for x, j, y in reversed(interval.cover_edges):",
         "for x, j, y in interval.cover_edges:",
         ["tests/test_cayley.py", "tests/test_golden_cli.py"],
+    ),
+    # the size census's walk also keeping steps that stay at one length
+    (
+        "src/cayleykit/classify.py",
+        "keep = lengths[left] == level - 1",
+        "keep = lengths[left] <= level",
+        ["tests/test_classify.py::test_census_size_matches_interval_construction"],
+    ),
+    # the size census's walk counting each z once per path to it
+    (
+        "src/cayleykit/classify.py",
+        "keys = np.unique((owner * order + left)[keep])",
+        "keys = np.sort((owner * order + left)[keep])",
+        ["tests/test_classify.py::test_census_size_matches_interval_construction"],
     ),
     # Z^2 words with the +x and -x letters swapped
     (
