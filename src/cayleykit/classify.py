@@ -15,7 +15,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .cayley import (DEFAULT_ISO_CAP, RELATIONS, UNREACHED, DistanceOracle, build_oracle)
+from .cayley import DEFAULT_ISO_CAP, RELATIONS, STRATEGIES, UNREACHED, DistanceOracle, build_oracle
 from .errors import CapabilityError, ModelError
 from .groups import GroupModel, SymmetricModel
 from .intervals import GradedInterval, build_interval, count_geodesics, order_isomorphic
@@ -198,7 +198,7 @@ def census(model: GroupModel, relation: str, workers: int = 1) -> CensusResult:
         raise CapabilityError(f"census needs a finite model, not {model.name}")
 
     if isinstance(model, SymmetricModel):
-        if model.n > 9:
+        if not STRATEGIES["table"](model):
             raise CapabilityError(f"census needs a full table; {model.name} is too large")
         oracle = DistanceOracle(model, "table")
         if relation == "length":
@@ -239,8 +239,8 @@ def normaliser(model: GroupModel) -> NormaliserResult:
     if not model.is_finite:
         raise CapabilityError(f"cannot enumerate the normaliser of {model.name}")
     if isinstance(model, SymmetricModel):
-        if model.n > 8:
-            raise CapabilityError(f"normaliser enumeration supports n <= 8, got n={model.n}")
+        if not STRATEGIES["table"](model):
+            raise CapabilityError(f"normaliser enumeration needs all of S_n; {model.name} is too big")
         perms = all_perms_array(model.n)
         gens = model.generating_set.generators
         members = list(map(tuple, perms[_conjugating_ranks(perms, gens, gens)].tolist()))

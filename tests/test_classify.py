@@ -275,8 +275,9 @@ def test_mixed_seven_point_set_has_dihedral_normaliser():
 
 
 def test_normaliser_modes_and_limits():
+    assert normaliser(circular_model(9)).order == 18
     with pytest.raises(CapabilityError):
-        normaliser(circular_model(9))
+        normaliser(circular_model(10))
     with pytest.raises(CapabilityError):
         normaliser(z2_model())
 

@@ -200,8 +200,17 @@ def test_normaliser_check_and_enumerate(capsys):
     )
     assert "order: 10" in out
     assert len(out.splitlines()) == 12  # two header lines + ten members
-    code, _, _ = _run(capsys, ["normaliser", "--model", "sym-circular:9"])
-    assert code == 3
+    code, out, _ = _run(capsys, ["normaliser", "--model", "sym-circular:9"])
+    assert code == 0 and out == "model: sym-circular:9\norder: 18\n"
+
+
+def test_census_and_normaliser_refuse_ten_points(capsys):
+    # one limit for both: the table strategy's model predicate
+    for argv in (["census", "--model", "sym-circular:10", "--figure", "6"],
+                 ["normaliser", "--model", "sym-circular:10", "--enumerate"]):
+        code, out, err = _run(capsys, argv)
+        assert code == 3 and out == "", argv
+        assert err.count("\n") == 1 and "sym-circular:10 is too" in err, argv
 
 
 def test_cache_build_verify_and_corruption(tmp_path, capsys):

@@ -89,6 +89,7 @@ CASES = [
     ["census", "--figure", "6", "--workers", "2", "--model", "sym-circular:6"],
     ["normaliser", "--model", "sym-adjacent:6", "--enumerate"],
     ["normaliser", "--model", "sym-custom:6:(1,2);(1,2,3,4,5,6)", "--enumerate"],
+    ["normaliser", "--model", "sym-circular:9", "--enumerate"],
     ["classify", "--model", "sym-circular:6", "--relation", "iso", "--all"],
     ["classify", "--model", "sym-custom:5:(1,2);(1,2,3,4,5)", "--relation", "iso", "--all"],
     ["classify", "--model", "sym-circular:5", "--relation", "iso", "--all", "--iso-cap", "6"],
