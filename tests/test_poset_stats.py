@@ -15,6 +15,7 @@ import random
 from itertools import combinations
 from math import comb
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,15 +29,26 @@ from cayleykit import (
     z2_model,
 )
 from cayleykit.intervals import GradedInterval
+from cayleykit.ranking import rank_rows
+
+
+def _distances_among(oracle, members):
+    """d(x, y) for every pair of members; a table oracle reads all pairs in one pass."""
+    if oracle.strategy != "table":
+        return [[oracle.distance(x, y) for y in members] for x in members]
+    rows = np.array(members, dtype=np.uint8)
+    # row (x, y) is x^-1 y: i -> y[x^-1[i]], and d(x, y) = l(x^-1 y)
+    between = rows[:, np.argsort(rows, axis=1)].transpose(1, 0, 2).reshape(-1, rows.shape[1])
+    return oracle.lengths[rank_rows(between)].reshape(len(members), -1).tolist()
 
 
 def _up_sets_from_distances(oracle, g, members):
     """Reflexive up-set bitmasks over members, x <= y read from distances."""
-    dist = oracle.distance
-    rank = [dist(g, x) for x in members]
+    dist = _distances_among(oracle, [g, *members])
+    rank, dist = dist[0][1:], [row[1:] for row in dist[1:]]
     return [
-        sum(1 << j for j, y in enumerate(members) if rank[i] + dist(x, y) == rank[j])
-        for i, x in enumerate(members)
+        sum(1 << j for j in range(len(members)) if rank[i] + dist[i][j] == rank[j])
+        for i in range(len(members))
     ]
 
 
