@@ -21,6 +21,7 @@ from .groups import GroupModel, SymmetricModel
 from .intervals import GradedInterval, build_interval, count_geodesics, order_isomorphic
 from .ranking import all_perms_array, perm_unrank, rank_rows
 
+
 @dataclass
 class Classification:
     relation: str
@@ -160,11 +161,10 @@ def _interval_sizes(oracle: DistanceOracle) -> np.ndarray:
     lengths, tables, inverse = oracle.lengths, oracle.gen_tables, oracle.inverse_ranks
     order = len(lengths)
     reps = np.flatnonzero((orbit_min == np.arange(order)) & (lengths != UNREACHED))
-    sizes = np.full(order, -1, dtype=np.int64)
+    sizes = np.where(lengths == UNREACHED, -1, 1)  # grade 0 of [e, g] holds z = g alone
     for length in np.unique(lengths[reps]).tolist():
         group = reps[lengths[reps] == length]
         keys = np.arange(len(group), dtype=np.int64) * order + group
-        sizes[group] = 1
         for level in range(length, 0, -1):  # every z of this grade has l(z) = level
             owner, z = np.divmod(keys, order)
             left = inverse[tables[:, inverse[z]]]  # s^-1 z, one row per generator s
