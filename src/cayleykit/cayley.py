@@ -9,8 +9,8 @@ search runs from g and h over permutations held as bytes, one bytes.translate
 per step, and answers one query faster than a table builds, so the CLI's
 `dist` searches unless a table cache exists or `--strategy table` is named.
 
-A `.cayd` cache holds one distance byte per rank.  `verify_table_cache`
-checks it against the equation that defines BFS distances, with no BFS.
+Table products come from `ranking.right_tables`.  A `.cayd` cache holds one
+distance byte per rank; `verify_table_cache` checks it by the BFS equation, no BFS.
 
 numpy loads only when an array is first built or scanned: analytic and
 bidirectional queries, and table queries on a cached table, never load it.
@@ -36,7 +36,7 @@ from .groups import (
     GroupModel,
     SymmetricModel,
 )
-from .ranking import all_perms_array, perm_rank, rank_rows
+from .ranking import all_perms_array, perm_rank, rank_rows, right_tables
 
 if TYPE_CHECKING:
     import numpy as np
@@ -102,7 +102,7 @@ class DistanceOracle:
     @cached_property
     def gen_tables(self) -> np.ndarray:
         """gen_tables[j][r] = rank(perm_r * s_j), built on first use."""
-        return _generator_tables(self.model)
+        return right_tables(self.model.n, self.model.generating_set.generators)
 
     @cached_property
     def perms(self) -> np.ndarray:
@@ -123,8 +123,9 @@ class DistanceOracle:
         """
         import numpy as np
 
-        g_inv = np.array(self.model.inverse(self.model.check_element(g)), dtype=np.intp)
-        return self.lengths[rank_rows(self.perms[:, g_inv])].astype(np.int16)
+        (table,) = right_tables(self.model.n, [self.model.check_element(g)])
+        inv = self.inverse_ranks
+        return self.lengths[inv[table[inv]]].astype(np.int16)  # rank(g^-1 x) = inv[rank(x^-1 g)]
 
     # -- distances -----------------------------------------------------------
 
@@ -247,45 +248,6 @@ def choose_strategy(model: GroupModel, strategy: str | None) -> str:
 
 def build_oracle(model: GroupModel, strategy: str | None = None, cache_dir=None) -> DistanceOracle:
     return DistanceOracle(model, strategy, cache_dir)
-
-
-def _generator_tables(model: SymmetricModel) -> np.ndarray:
-    """Rank-indexed right multiplication: tables[j][r] = rank(perm_r * s_j).
-
-    Built from the block structure of rank order, with no permutation
-    ranked.  Block v of S_k (ranks v*(k-1)! onward) is v followed by the
-    other values arranged as S_(k-1) in rank order.  Relabelling the
-    values by s sends block v to block s(v), where it acts on S_(k-1) as the
-    compressed permutation s_v(i) = s(rest_v[i]) - [s(rest_v[i]) > s(v)], so
-
-        table_k(s) = concat over v of (s(v) * (k-1)! + table_(k-1)(s_v)).
-
-    The distinct s_v are collected level by level from n down to 1 (np.unique
-    over their images read as base-(k-1) numbers), then the tables are filled
-    from S_1 up.
-    """
-    import numpy as np
-
-    perms = np.array(model.generating_set.generators, dtype=np.uint8)
-    levels = []  # per k from n down to 2: (the S_k perms, index of each s_v one level down)
-    for k in range(model.n, 1, -1):
-        m = len(perms)
-        cols = np.arange(k - 1)
-        # rest[i, v] is perms[i] without position v: (m, k, k-1)
-        rest = perms[:, cols + (cols >= np.arange(k)[:, None])]
-        compressed = (rest - (rest > perms[:, :, None])).reshape(m * k, k - 1)
-        digits = (k - 1) ** np.arange(k - 1, dtype=np.int64)
-        _, first, below = np.unique(compressed @ digits, return_index=True, return_inverse=True)
-        levels.append((perms, below.reshape(m, k)))
-        perms = compressed[first]
-    tables = np.zeros((len(perms), 1), dtype=np.int32)  # S_1: rank 0 to rank 0
-    for perms, children in reversed(levels):
-        m, k = children.shape
-        block = tables.shape[1]
-        out = np.take(tables, children, axis=0)  # (m, k, (k-1)!)
-        np.add(out, (perms.astype(np.int32) * block)[:, :, None], out=out)
-        tables = out.reshape(m, k * block)
-    return tables
 
 
 def _bfs_table(gen_tables: np.ndarray) -> np.ndarray:
@@ -475,14 +437,13 @@ def verify_table_cache(model: GroupModel, path) -> None:
     If some l(x) < d(x), the x with least l has an in-neighbour y with
     l(y) = l(x) - 1 < d(y), a smaller one.  UNREACHED absorbs, so unreachable
     ranks must store it, and a second zero fails: the equation gives at least 1
-    off the identity.  y -> y*s permutes the ranks, so no scatter repeats one.
+    off the identity.  The in-neighbours x*s^-1 of every x are read in one gather.
     """
     import numpy as np
 
     lengths = load_table_cache(model, path)
-    nearest = np.full(len(lengths), UNREACHED, dtype=np.uint8)
-    for table in _generator_tables(model):
-        nearest[table] = np.minimum(nearest[table], lengths)
+    gens = model.generating_set.generators
+    nearest = lengths[right_tables(model.n, [model.inverse(s) for s in gens])].min(axis=0)
     want = np.minimum(nearest, UNREACHED - 1) + 1
     want[0] = 0
     bad = np.flatnonzero(want != lengths)

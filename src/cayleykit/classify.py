@@ -19,7 +19,7 @@ from .cayley import DEFAULT_ISO_CAP, RELATIONS, STRATEGIES, UNREACHED, DistanceO
 from .errors import CapabilityError, ModelError
 from .groups import GroupModel, SymmetricModel
 from .intervals import GradedInterval, build_interval, count_geodesics, order_isomorphic
-from .ranking import all_perms_array, perm_unrank, rank_rows
+from .ranking import all_perms_array, perm_unrank, rank_rows, right_tables
 
 
 @dataclass
@@ -139,12 +139,13 @@ def _orbit_minima(oracle: DistanceOracle) -> np.ndarray:
     x -> pi^-1 g^-1 x pi maps [e, g] onto [e, pi^-1 g^-1 pi] with the order
     reversed; when S is inverse-closed those pi are N(S) itself.
     """
-    perms, gens = oracle.perms, oracle.model.generating_set.generators
+    perms, gens, inv = oracle.perms, oracle.model.generating_set.generators, oracle.inverse_ranks
     orbit_min = np.arange(len(perms))
     for source, inverted in ((gens, False), ([oracle.model.inverse(s) for s in gens], True)):
-        for pi in perms[_conjugating_ranks(perms, source, gens)]:
-            conj = rank_rows(pi[perms[:, np.argsort(pi)]])  # rank(pi^-1 perm_r pi)
-            np.minimum(orbit_min, conj[oracle.inverse_ranks] if inverted else conj, out=orbit_min)
+        for pi in perms[_conjugating_ranks(perms, source, gens)]:  # one table at a time: S9 RSS
+            (table,) = right_tables(oracle.model.n, [pi])
+            conj = table[inv[table[inv]]]  # rank(pi^-1 x pi), pi^-1 x pi = (x^-1 pi)^-1 pi
+            np.minimum(orbit_min, conj[inv] if inverted else conj, out=orbit_min)
     return orbit_min
 
 

@@ -2,7 +2,8 @@
 
 Permutations are 0-based image tuples; ranks run 0 .. n!-1 in lexicographic
 order of the image tuple, so the identity always has rank 0.  numpy loads
-only when an array function first runs.
+only when an array function first runs.  right_tables reads products from the
+block order of all_perms_array; rank_rows ranks new rows, such as inverses.
 """
 
 from __future__ import annotations
@@ -56,6 +57,43 @@ def all_perms_array(n: int) -> np.ndarray:
             rows[:, 1:] = rest[perms]
         perms = out
     return perms
+
+
+def right_tables(n: int, perms) -> np.ndarray:
+    """Rank-indexed right multiplication: tables[j][r] = rank(perm_r * perms[j]), int32.
+
+    Built from all_perms_array's blocks (ranks v*(k-1)! onward in S_k), with
+    no permutation ranked.  Relabelling the values by p sends block v to
+    block p(v), where it acts on S_(k-1) as the compressed permutation
+    p_v(i) = p(rest_v[i]) - [p(rest_v[i]) > p(v)], so
+
+        table_k(p) = concat over v of (p(v) * (k-1)! + table_(k-1)(p_v)).
+
+    The distinct p_v are collected from n down (np.unique over their images
+    read as base-(k-1) numbers), then the tables are filled from S_1 up.
+    """
+    import numpy as np
+
+    perms = np.array(perms, dtype=np.uint8)
+    levels = []  # per k from n down to 2: (the S_k perms, index of each p_v one level down)
+    for k in range(n, 1, -1):
+        m = len(perms)
+        cols = np.arange(k - 1)
+        # rest[i, v] is perms[i] without position v: (m, k, k-1)
+        rest = perms[:, cols + (cols >= np.arange(k)[:, None])]
+        compressed = (rest - (rest > perms[:, :, None])).reshape(m * k, k - 1)
+        digits = (k - 1) ** np.arange(k - 1, dtype=np.int64)
+        _, first, below = np.unique(compressed @ digits, return_index=True, return_inverse=True)
+        levels.append((perms, below.reshape(m, k)))
+        perms = compressed[first]
+    tables = np.zeros((len(perms), 1), dtype=np.int32)  # S_1: rank 0 to rank 0
+    for perms, children in reversed(levels):
+        m, k = children.shape
+        block = tables.shape[1]
+        out = np.take(tables, children, axis=0)  # (m, k, (k-1)!)
+        np.add(out, (perms.astype(np.int32) * block)[:, :, None], out=out)
+        tables = out.reshape(m, k * block)
+    return tables
 
 
 def rank_rows(rows: np.ndarray) -> np.ndarray:

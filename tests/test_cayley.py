@@ -401,10 +401,11 @@ def test_ball_sizes_follow_the_distance_histogram():
 
 
 def test_dist_from_matches_distance_and_keeps_the_unreached_marker():
-    # <(1,2,3), (4,5)> has order 6 in S6, so most ranks are unreached from g
+    # <(1,2,3), (4,5)> has order 6 in S6, so most ranks are unreached from g;
+    # on the directed set d(g, x) = l(g^-1 x) differs from l(x^-1 g)
     sub = custom_model(6, ["(1,2,3)", "(1,3,2)", "(4,5)"], require_generating=False)
     rng = random.Random(11)
-    for model in (circular_model(5), sub):
+    for model in (circular_model(5), custom_model(5, ["(1,2)", "(1,2,3,4,5)"]), sub):
         oracle = build_oracle(model)
         assert "perms" not in vars(oracle)  # built on first use only
         everyone = list(permutations(range(model.n)))  # lexicographic = rank order
@@ -637,12 +638,15 @@ def _random_custom_model(rng, n, size):
     return custom_model(n, sorted(gens), require_generating=False)
 
 
-def _assert_tables_are_right_products(model):
+def _assert_tables_are_right_products(model, perms=None):
+    """ranking.right_tables against products ranked by position in itertools order."""
+    if perms is None:
+        perms = model.generating_set.generators
     index = _rank_index(model.n)
-    tables = cayley._generator_tables(model)
+    tables = ranking.right_tables(model.n, perms)
     assert tables.dtype == np.int32
-    assert tables.shape == (len(model.generating_set.generators), len(index))
-    for j, s in enumerate(model.generating_set.generators):
+    assert tables.shape == (len(perms), len(index))
+    for j, s in enumerate(perms):
         want = [index[model.multiply(p, s)] for p in index]
         assert tables[j].tolist() == want, (model.name, j)
 
@@ -665,6 +669,23 @@ def test_generator_tables_match_products_at_s8():
         _assert_tables_are_right_products(model)
 
 
+def test_right_tables_match_products_on_lists_that_are_not_generating_sets():
+    # the model supplies only the tuple product and the identity
+    rng = random.Random(31)
+    for n in range(2, 8):
+        model = adjacent_model(n)
+        one = tuple(rng.sample(range(n), n))
+        _assert_tables_are_right_products(model, [one])
+        _assert_tables_are_right_products(model, [model.identity])
+        _assert_tables_are_right_products(model, [one, model.identity, one])
+    # the normaliser of the circular set in S6: the 12 symmetries of a hexagon
+    model = circular_model(6)
+    gens = set(model.generating_set.generators)
+    members = [p for p in permutations(range(6)) if {model.conjugate(s, p) for s in gens} == gens]
+    assert len(members) == 12
+    _assert_tables_are_right_products(model, members)
+
+
 def _dict_bfs_by_rank(model):
     reached = _bfs_lengths(model)
     return [reached.get(p, UNREACHED) for p in permutations(range(model.n))]
@@ -680,7 +701,7 @@ def test_bfs_table_matches_dict_bfs(n):
         subgroup,
     )
     for model in models:
-        lengths = cayley._bfs_table(cayley._generator_tables(model))
+        lengths = cayley._bfs_table(ranking.right_tables(model.n, model.generating_set.generators))
         assert lengths.dtype == np.uint8
         assert lengths.tolist() == _dict_bfs_by_rank(model), model.name
         assert (UNREACHED in lengths) == (model is subgroup)

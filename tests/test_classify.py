@@ -5,6 +5,7 @@ from __future__ import annotations
 import concurrent.futures
 import importlib
 import random
+import sys
 
 import pytest
 
@@ -25,6 +26,7 @@ from cayleykit import (
     theorem1_check,
     z2_model,
 )
+from cayleykit import cayley, ranking
 from cayleykit.cayley import DistanceOracle
 from cayleykit.intervals import GradedInterval, order_isomorphic
 from cayleykit.ranking import perm_unrank
@@ -190,6 +192,35 @@ def test_size_census_counts_one_interval_per_orbit(monkeypatch):
         # one count per orbit, made by the orbit's lowest element
         assert len(counted) == len({min(orbit(g)) for g in model.elements()}) == orbits
         assert all(min(orbit(g)) == g for g in counted)
+
+
+def test_products_rank_only_inverse_and_conjugating_rows(monkeypatch):
+    """Once the inverse ranks exist, dist_from and the orbit minima read their
+    products from right_tables: rank_rows runs only in _conjugating_ranks,
+    1 + |S| times for each of its two calls on circular S7."""
+    model = circular_model(7)
+    oracle = DistanceOracle(model, "table")
+    oracle.inverse_ranks
+    want = {g: [oracle.distance(g, x) for x in model.elements()]
+            for g in (model.identity, model.parse_element("(1,4,2)(3,7)"))}
+    rank_rows = classify_module.rank_rows
+    callers = []
+
+    def boom(rows):
+        raise AssertionError("a product was ranked")
+
+    def counted(rows):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return rank_rows(rows)
+
+    monkeypatch.setattr(ranking, "rank_rows", boom)
+    monkeypatch.setattr(cayley, "rank_rows", boom)
+    for g, column in want.items():
+        assert oracle.dist_from(g).tolist() == column
+    monkeypatch.setattr(classify_module, "rank_rows", counted)
+    classify_module._orbit_minima(oracle)
+    assert len(model.generating_set.generators) == 7
+    assert callers == ["_conjugating_ranks"] * 16
 
 
 def test_census_unranks_one_representative_per_class(monkeypatch):

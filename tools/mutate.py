@@ -120,6 +120,27 @@ MUTANTS = [
         "keys = np.sort((owner * order + left)[keep])",
         ["tests/test_classify.py::test_census_size_matches_interval_construction"],
     ),
+    # orbit minima conjugating by x pi for pi^-1 x pi (the inverse step dropped)
+    (
+        "src/cayleykit/classify.py",
+        "conj = table[inv[table[inv]]]",
+        "conj = table[table[inv]]",
+        ["tests/test_classify.py"],
+    ),
+    # cache verify taking out-neighbours x*s for in-neighbours x*s^-1
+    (
+        "src/cayleykit/cayley.py",
+        "right_tables(model.n, [model.inverse(s) for s in gens])",
+        "right_tables(model.n, gens)",
+        ["tests/test_cayley.py::test_verify_refuses_every_single_rank_damage_on_s5"],
+    ),
+    # dist_from reading l(x^-1 g) for l(g^-1 x)
+    (
+        "src/cayleykit/cayley.py",
+        "self.lengths[inv[table[inv]]]",
+        "self.lengths[table[inv]]",
+        ["tests/test_cayley.py::test_dist_from_matches_distance_and_keeps_the_unreached_marker"],
+    ),
     # Z^2 words with the +x and -x letters swapped
     (
         "src/cayleykit/cayley.py",
