@@ -142,7 +142,7 @@ def _orbit_minima(oracle: DistanceOracle) -> np.ndarray:
     perms, gens, inv = oracle.perms, oracle.model.generating_set.generators, oracle.inverse_ranks
     orbit_min = np.arange(len(perms))
     for source, inverted in ((gens, False), ([oracle.model.inverse(s) for s in gens], True)):
-        for pi in perms[_conjugating_ranks(perms, source, gens)]:  # one table at a time: S9 RSS
+        for pi in perms[_conjugating_ranks(perms, source, gens)]:  # one table per pi keeps S9's peak RSS
             (table,) = right_tables(oracle.model.n, [pi])
             conj = table[inv[table[inv]]]  # rank(pi^-1 x pi), pi^-1 x pi = (x^-1 pi)^-1 pi
             np.minimum(orbit_min, conj[inv] if inverted else conj, out=orbit_min)
